@@ -113,11 +113,14 @@ def _config(args) -> SolveConfig:
     )
 
 
-def _add_solver_flags(p: argparse.ArgumentParser, need_edge: bool = False):
+def _add_solver_flags(
+    p: argparse.ArgumentParser, need_edge: bool = False, need_mass: bool = True
+):
     p.add_argument("--graph", required=True, help="path, builtin name, or JSON document")
     if need_edge:
         p.add_argument("--edge", required=True, help="bounded edge id")
-    p.add_argument("--mass", type=float, required=True)
+    if need_mass:
+        p.add_argument("--mass", type=float, required=True)
     p.add_argument("--p", type=float, default=4.0)
     p.add_argument("--h", type=float, default=0.01)
     p.add_argument("--trunc", default="auto")
@@ -250,18 +253,9 @@ def _build_parser() -> _Parser:
     sp.set_defaults(func=_cmd_catalogue)
 
     sp = sub.add_parser("scan", help="mass-threshold scan on one edge")
-    sp.add_argument("--graph", required=True)
-    sp.add_argument("--edge", required=True)
+    _add_solver_flags(sp, need_edge=True, need_mass=False)
     sp.add_argument("--masses", required=True, help="comma-separated increasing masses")
-    sp.add_argument("--p", type=float, default=4.0)
-    sp.add_argument("--h", type=float, default=0.01)
-    sp.add_argument("--trunc", default="auto")
-    sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--max-iter", type=int, default=20000)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--csv", default=None)
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("verify", help="solve on one edge and certify the result")

@@ -155,7 +155,6 @@ def build_mesh(
             dofs[-1] = vertex_dof[e.dst]
         edge_meshes.append(EdgeMesh(e.id, coords, dofs, he, e.is_halfline))
     ndof = next_dof
-    fixed = []
     for em in edge_meshes:
         d = em.dofs
         d[d == -1] = ndof

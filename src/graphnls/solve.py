@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import functional as fn
@@ -158,50 +157,91 @@ def _resolve_mesh(
     return build_mesh(g, cfg.h, trunc=cfg.truncation, lambda_est=lam_est)
 
 
-def _stationarity_residual(mesh, x, lam, mu, p):
-    M = mesh.mass_matrix
-    K = mesh.stiffness_matrix
-    F1 = K @ x - fn.nonlinear_term(GraphFunction(mesh, x), p) + lam * (M @ x)
-    F2 = 0.5 * (float(x @ (M @ x)) - mu)
-    return F1, F2, _weighted_residual_norm(F1, mesh.lumped_mass) + abs(F2)
+def _stationarity_residual(mesh, x, mults, mu, p, w=None):
+    """Residual of K u - n(u) + lam M u [+ nu w] = 0, (u^T M u - mu)/2 = 0
+    [, w . u = 0] at mults = (lam,) or (lam, nu): (F1, border residuals,
+    norm), the pin term scaled by the strong-form norm of w."""
+    lumped = mesh.lumped_mass
+    Mx = mesh.mass_matrix @ x
+    F1 = mesh.stiffness_matrix @ x - fn.nonlinear_term(GraphFunction(mesh, x), p) + mults[0] * Mx
+    Fb = [0.5 * (float(x @ Mx) - mu)]
+    if w is not None:
+        F1 = F1 + mults[1] * w
+        Fb.append(float(w @ x))
+    res = _weighted_residual_norm(F1, lumped) + abs(Fb[0])
+    if w is not None:
+        res += abs(Fb[1]) / (math.sqrt(float(np.sum(w * w * lumped))) or 1.0)
+    return F1, np.array(Fb), res
 
 
-def _newton_refine(mesh, u, lam, mu, p, tol, max_iter=50):
-    """Refine (u, lambda) on the stationarity system
-    K u - n(u) + lambda M u = 0,  u^T M u = mu.
+def _bordered_solve(H, B, f, g):
+    """Solve [[H, B], [B^T, 0]] [x; m] = [f; g] for k border columns B by
+    Keller's bordering algorithm (Govaerts, Numerical Methods for
+    Bifurcations of Dynamical Equilibria, SIAM 2000): factor the sparse H
+    alone, eliminate the border through the k x k Schur complement
+    B^T H^-1 B, then take two refinement steps on the full system: H can be
+    nearly singular along the translation mode, where the plain elimination
+    loses digits.  Raises RuntimeError (H singular) or LinAlgError (Schur
+    complement singular)."""
+    lu = splu(H)
+    Z = lu.solve(B)
+    S = B.T @ Z
+
+    def eliminate(f, g):
+        y = lu.solve(f)
+        m = np.linalg.solve(S, B.T @ y - g)
+        return y - Z @ m, m
+
+    x, m = eliminate(f, g)
+    for _ in range(2):
+        dx, dm = eliminate(f - H @ x - B @ m, g - B.T @ x)
+        x += dx
+        m += dm
+    return x, m
+
+
+def _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=None):
+    """Newton on the stationarity system bordered by the mass constraint
+    and, when w is given, by the pin w . u = 0 with its multiplier nu.
 
     Full Newton steps with a residual-norm backtracking line search.
+    Returns (x, mults, res, ok) with mults = (lam,) or (lam, nu); a
+    singular system or a step that cannot lower the residual ends the
+    iteration at the last iterate.
     """
     M = mesh.mass_matrix
     K = mesh.stiffness_matrix
-    x = u.values if not isinstance(u, np.ndarray) else u
-    x = np.array(x, dtype=float)
-    F1, F2, res = _stationarity_residual(mesh, x, lam, mu, p)
-    for it in range(max_iter):
+    x = np.array(x0, dtype=float)
+    mults = np.array([lam] if w is None else [lam, 0.0])
+    F1, Fb, res = _stationarity_residual(mesh, x, mults, mu, p, w)
+    for _ in range(max_iter):
         if res <= tol:
-            return x, lam, res, True
+            break
         W = fn.nonlinear_jacobian(GraphFunction(mesh, x), p)
-        H = (K - W + lam * M).tocsc()
-        Mu = M @ x
-        A = sp.bmat([[H, Mu[:, None]], [Mu[None, :], None]], format="csc")
+        H = (K - W + mults[0] * M).tocsc()
+        B = np.column_stack([M @ x] if w is None else [M @ x, w])
         try:
-            delta = splu(A).solve(np.concatenate([-F1, [-F2]]))
-        except RuntimeError:
-            return x, lam, res, False
+            dx, dm = _bordered_solve(H, B, -F1, -Fb)
+        except (RuntimeError, np.linalg.LinAlgError):
+            return x, mults, res, False
         t = 1.0
-        improved = False
         for _ in range(20):
-            xn = x + t * delta[:-1]
-            ln = lam + t * delta[-1]
-            F1n, F2n, rn = _stationarity_residual(mesh, xn, ln, mu, p)
+            xn, mn = x + t * dx, mults + t * dm
+            F1n, Fbn, rn = _stationarity_residual(mesh, xn, mn, mu, p, w)
             if rn < res:
-                x, lam, F1, F2, res = xn, ln, F1n, F2n, rn
-                improved = True
+                x, mults, F1, Fb, res = xn, mn, F1n, Fbn, rn
                 break
             t *= 0.5
-        if not improved:
-            return x, lam, res, False
-    return x, lam, res, res <= tol
+        else:
+            return x, mults, res, False
+    return x, mults, res, res <= tol
+
+
+def _newton_refine(mesh, u, lam, mu, p, tol, max_iter=50):
+    """Refine (u, lambda) on K u - n(u) + lambda M u = 0, u^T M u = mu.
+    Returns (x, lam, res, ok)."""
+    x, mults, res, ok = _bordered_newton(mesh, u, lam, mu, p, tol, max_iter)
+    return x, mults[0], res, ok
 
 
 def _translation_pin_vector(mesh, edge_id, p, lam, c):
@@ -220,53 +260,8 @@ def _translation_pin_vector(mesh, edge_id, p, lam, c):
 def _pinned_newton(mesh, x0, lam, mu, p, w, tol, max_iter=30):
     """Newton on the stationarity system with the extra pin w . u = 0 and
     its multiplier nu.  Returns (x, lam, nu, ok)."""
-    M = mesh.mass_matrix
-    K = mesh.stiffness_matrix
-    lumped = mesh.lumped_mass
-    x = np.array(x0, dtype=float)
-    nu = 0.0
-    wscale = math.sqrt(float(np.sum(w * w * lumped))) or 1.0
-
-    def full_res(x, lam, nu):
-        F1 = K @ x - fn.nonlinear_term(GraphFunction(mesh, x), p) + lam * (M @ x) + nu * w
-        F2 = 0.5 * (float(x @ (M @ x)) - mu)
-        F3 = float(w @ x)
-        return F1, F2, F3, _weighted_residual_norm(F1, lumped) + abs(F2) + abs(F3) / wscale
-
-    F1, F2, F3, res = full_res(x, lam, nu)
-    for it in range(max_iter):
-        if res <= tol:
-            return x, lam, nu, True
-        W = fn.nonlinear_jacobian(GraphFunction(mesh, x), p)
-        H = (K - W + lam * M).tocsc()
-        Mu = M @ x
-        A = sp.bmat(
-            [
-                [H, Mu[:, None], w[:, None]],
-                [Mu[None, :], None, None],
-                [w[None, :], None, None],
-            ],
-            format="csc",
-        )
-        try:
-            delta = splu(A).solve(np.concatenate([-F1, [-F2, -F3]]))
-        except RuntimeError:
-            return x, lam, nu, False
-        t = 1.0
-        improved = False
-        for _ in range(20):
-            xn = x + t * delta[:-2]
-            ln = lam + t * delta[-2]
-            nn = nu + t * delta[-1]
-            F1n, F2n, F3n, rn = full_res(xn, ln, nn)
-            if rn < res:
-                x, lam, nu, F1, F2, F3, res = xn, ln, nn, F1n, F2n, F3n, rn
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            return x, lam, nu, False
-    return x, lam, nu, res <= tol
+    x, mults, _, ok = _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=w)
+    return x, mults[0], mults[1], ok
 
 
 def _equilibrate_translation(mesh, x0, lam0, mu, p, edge_id, tol):
@@ -474,7 +469,7 @@ def _descend(
         # the far tails sit at float-noise scale where Newton may leave
         # tiny negative values; fold them back (energy and mass unchanged)
         x, lam = np.abs(xn), lamn
-        _, _, res = _stationarity_residual(mesh, x, lam, mu, p)
+        _, _, res = _stationarity_residual(mesh, x, (lam,), mu, p)
     else:
         res = _weighted_residual_norm(r, lumped)
     converged = res <= tol
@@ -496,17 +491,6 @@ def _branch_vertex_distance(mesh: Mesh, edge_id: str, coord: float) -> float:
     return dist
 
 
-def _localization_margin(u: GraphFunction, edge_id: str) -> float:
-    em = u.mesh.edge_mesh(edge_id)
-    on_edge = float(np.max(np.abs(u.edge_values(edge_id))))
-    off = 0.0
-    for other in u.mesh.edge_meshes:
-        if other.edge_id == edge_id:
-            continue
-        off = max(off, float(np.max(np.abs(u.edge_values(other.edge_id)))))
-    return on_edge - off
-
-
 def _classify(
     mesh: Mesh,
     u: GraphFunction,
@@ -526,10 +510,12 @@ def _classify(
     ``escaped`` whether or not the run converged.  Only then does a run
     short of tolerance get ``not-converged``.
     """
+    from .verify import localization_margin
+
     top_edge, top_x, _ = argmax(u)
     m_loss = migrated_mass(u)
     ref_edge = edge_id if edge_id is not None else top_edge
-    margin = _localization_margin(u, ref_edge)
+    margin = localization_margin(u, ref_edge)
     if left_edge or lam <= 0.0:
         return "escaped", margin, m_loss, top_edge
     if not converged:
@@ -648,9 +634,9 @@ def bound_state_catalogue(
     return [run(eid) for eid in edges]
 
 
-def _random_starts(mesh: Mesh, mu: float, seed: int, count: int = 2):
-    """Seeded smooth random bumps plus a half-soliton start at each
-    halfline attachment vertex."""
+def _random_starts(mesh: Mesh, seed: int, count: int = 2):
+    """Seeded smooth random bumps (twice (K + M)-smoothed white noise, made
+    nonnegative)."""
     rng = np.random.default_rng(seed)
     M = mesh.mass_matrix
     K = mesh.stiffness_matrix
@@ -698,7 +684,7 @@ def ground_state(
         except SolveError:
             continue
 
-    starts = _halfline_starts(mesh, model, mu) + _random_starts(mesh, mu, cfg.seed)
+    starts = _halfline_starts(mesh, model, mu) + _random_starts(mesh, cfg.seed)
     for u0 in starts:
         try:
             u, lam, res, iters, converged, left = _descend(mesh, u0, mu, p, cfg)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from graphnls.cli import run
+from graphnls.cli import _build_parser, run
 
 
 def read_json(path):
@@ -107,6 +107,18 @@ def test_scan_csv(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["mass", "status", "energy"]
     assert len(rows) == 3
+
+
+def test_scan_parser_defaults():
+    args = _build_parser().parse_args(
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "0.5,50"]
+    )
+    assert args.masses == "0.5,50"
+    assert not hasattr(args, "mass")
+    assert (args.p, args.h, args.trunc, args.tol, args.max_iter, args.seed) == (
+        4.0, 0.01, "auto", 1e-8, 20000, 0
+    )
+    assert (args.jobs, args.out, args.csv) == (1, None, None)
 
 
 def test_scan_bad_masses_is_usage_error():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh, splu
 
 from graphnls import functional as fn
 from graphnls.graphs import (
@@ -13,7 +15,10 @@ from graphnls.mesh import argmax, build_mesh, place_profile, zero_function
 from graphnls.solve import (
     SolveConfig,
     SolveError,
+    _bordered_solve,
     _classify,
+    _newton_refine,
+    _translation_pin_vector,
     bound_state_catalogue,
     ground_state,
     lagrange_multiplier,
@@ -152,6 +157,65 @@ def test_catalogue_one_report_per_bounded_edge():
 def test_catalogue_needs_bounded_edges():
     with pytest.raises(SolveError):
         bound_state_catalogue(star_graph(3), 5.0, 4.0, CFG)
+
+
+@pytest.fixture(scope="module")
+def ex3_newton_system():
+    """Newton matrix H = K - W + lam M at the converged Example 3 state on
+    edge e, with the mass border M u and the translation pin w."""
+    rep = minimize_on_edge(example_graph(3), "e", 10.0, 4.0, SolveConfig(h=0.01, truncation=6.0))
+    assert rep.converged
+    u = rep.minimizer
+    mesh = u.mesh
+    x = np.real(u.values)
+    H = (mesh.stiffness_matrix - fn.nonlinear_jacobian(u, 4.0) + rep.lam * mesh.mass_matrix).tocsc()
+    w = _translation_pin_vector(mesh, "e", 4.0, rep.lam, argmax(u)[1])
+    return rep, H, mesh.mass_matrix @ x, w
+
+
+def _check_bordered_solve(H, B, seed):
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(H.shape[0])
+    g = rng.standard_normal(B.shape[1])
+    x, m = _bordered_solve(H, B, f, g)
+    A = sp.bmat([[H, B], [B.T, None]], format="csc")
+    rhs = np.concatenate([f, g])
+    z = np.concatenate([x, m])
+    assert np.linalg.norm(A @ z - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    ref = splu(A).solve(rhs)
+    assert np.linalg.norm(z - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bordered_solve_matches_assembled_system(ex3_newton_system, k):
+    _, H, Mu, w = ex3_newton_system
+    B = np.column_stack([Mu, w][:k])
+    _check_bordered_solve(H, B, seed=k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bordered_solve_refines_nearly_singular_hessian(ex3_newton_system, k):
+    # shift the eigenvalue of H nearest zero to 1e-8: without refinement
+    # the bordered residual is then about 5e-8
+    _, H, Mu, w = ex3_newton_system
+    nearest = eigsh(H, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
+    Hs = (H - (nearest - 1e-8) * sp.identity(H.shape[0])).tocsc()
+    B = np.column_stack([Mu, w][:k])
+    _check_bordered_solve(Hs, B, seed=10 + k)
+
+
+def test_newton_refine_keeps_converged_state(ex3_newton_system):
+    rep, _, _, _ = ex3_newton_system
+    mesh = rep.minimizer.mesh
+    x = np.real(rep.minimizer.values)
+    _, lam, _, ok = _newton_refine(mesh, x, rep.lam, 10.0, 4.0, 1e-8 * 10.0)
+    assert ok
+    assert lam == pytest.approx(rep.lam, rel=1e-10)
+    # a tighter tolerance forces Newton steps; lam moves only by about the
+    # residual of the descended state
+    _, lam, res, ok = _newton_refine(mesh, x, rep.lam, 10.0, 4.0, 1e-10)
+    assert ok and res <= 1e-10
+    assert lam == pytest.approx(rep.lam, rel=1e-9)
 
 
 def test_ground_state_halfline_matches_half_soliton():
