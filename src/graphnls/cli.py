@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -100,6 +101,24 @@ def _write_state_csv(path: str, u) -> None:
                 w.writerow([em.edge_id, repr(float(x)), repr(float(abs(v)))])
 
 
+def _number_in(text: str, lo: float, hi: float, what: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not (lo < x < hi):
+        raise argparse.ArgumentTypeError(f"{what} {text!r} is not a number in ({lo:g}, {hi:g})")
+    return x
+
+
+def _mass(text: str) -> float:
+    return _number_in(text, 0.0, math.inf, "mass")
+
+
+def _exponent(text: str) -> float:
+    return _number_in(text, 2.0, 6.0, "p")
+
+
 def _config(args) -> SolveConfig:
     trunc = args.trunc
     if trunc != "auto":
@@ -120,8 +139,8 @@ def _add_solver_flags(
     if need_edge:
         p.add_argument("--edge", required=True, help="bounded edge id")
     if need_mass:
-        p.add_argument("--mass", type=float, required=True)
-    p.add_argument("--p", type=float, default=4.0)
+        p.add_argument("--mass", type=_mass, required=True)
+    p.add_argument("--p", type=_exponent, default=4.0)
     p.add_argument("--h", type=float, default=0.01)
     p.add_argument("--trunc", default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
@@ -183,8 +202,8 @@ def _cmd_scan(args, argv, t0) -> int:
     g = _resolve_graph(args.graph)
     g.edge(args.edge)
     try:
-        grid = [float(tok) for tok in args.masses.split(",") if tok.strip()]
-    except ValueError as exc:
+        grid = [_mass(tok) for tok in args.masses.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"bad --masses list: {exc}")
     report = scan_mass_threshold(g, args.edge, args.p, grid, _config(args), jobs=args.jobs)
     doc = report.to_dict()
@@ -249,13 +268,13 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("catalogue", help="one bound state per bounded edge")
     _add_solver_flags(sp)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="accepted; runs serially")
     sp.set_defaults(func=_cmd_catalogue)
 
     sp = sub.add_parser("scan", help="mass-threshold scan on one edge")
     _add_solver_flags(sp, need_edge=True, need_mass=False)
     sp.add_argument("--masses", required=True, help="comma-separated increasing masses")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="accepted; runs serially")
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("verify", help="solve on one edge and certify the result")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GraphFunction, Mesh, MeshError, zero_function
+from .mesh import GraphFunction, interpolate
 
 
 class FunctionalError(ValueError):
@@ -48,39 +48,27 @@ def kinetic(u: GraphFunction) -> float:
     return 0.5 * float(np.real(np.vdot(v, K @ v)))
 
 
-def _edge_arrays(u: GraphFunction):
-    """Yield (spacing, left values, right values, left dofs, right dofs)."""
-    ext = np.append(u.values, 0.0 * u.values[:1])
-    for em in u.mesh.edge_meshes:
-        a = ext[em.dofs[:-1]]
-        b = ext[em.dofs[1:]]
-        yield em.spacing, a, b, em.dofs[:-1], em.dofs[1:]
-
-
 def lp_power_quad(u: GraphFunction, p: float) -> float:
     """||u||_p^p by element Simpson with midpoint evaluation."""
-    total = 0.0
-    for h, a, b, _, _ in _edge_arrays(u):
-        m = 0.5 * (a + b)
-        total += h / 6.0 * float(np.sum(np.abs(a) ** p + 4.0 * np.abs(m) ** p + np.abs(b) ** p))
-    return total
+    a, b = u.mesh.element_values(u.values)
+    m = 0.5 * (a + b)
+    return float(u.mesh.el_h @ (np.abs(a) ** p + 4.0 * np.abs(m) ** p + np.abs(b) ** p)) / 6.0
 
 
 def lp_power_exact(u: GraphFunction, r: float) -> float:
     """||u||_r^r, exact for the piecewise-linear (real) interpolant."""
     if u.is_complex:
         raise FunctionalError("exact L^r integral implemented for real functions")
-    total = 0.0
-    for h, a, b, _, _ in _edge_arrays(u):
-        d = b - a
-        flat = np.abs(d) < 1e-14 * (np.abs(a) + np.abs(b) + 1e-300)
-        ga = np.sign(a) * np.abs(a) ** (r + 1.0) / (r + 1.0)
-        gb = np.sign(b) * np.abs(b) ** (r + 1.0) / (r + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            seg = h * (gb - ga) / d
-        seg[flat] = h * 0.5 * (np.abs(a[flat]) ** r + np.abs(b[flat]) ** r)
-        total += float(np.sum(seg))
-    return total
+    h = u.mesh.el_h
+    a, b = u.mesh.element_values(u.values)
+    d = b - a
+    flat = np.abs(d) < 1e-14 * (np.abs(a) + np.abs(b) + 1e-300)
+    ga = np.sign(a) * np.abs(a) ** (r + 1.0) / (r + 1.0)
+    gb = np.sign(b) * np.abs(b) ** (r + 1.0) / (r + 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        seg = h * (gb - ga) / d
+    seg[flat] = h[flat] * 0.5 * (np.abs(a[flat]) ** r + np.abs(b[flat]) ** r)
+    return float(np.sum(seg))
 
 
 def energy(u: GraphFunction, p: float) -> EnergyBreakdown:
@@ -98,39 +86,28 @@ def nonlinear_term(u: GraphFunction, p: float) -> np.ndarray:
     i.e. the weak form of |u|^(p-2) u.
     """
     _check_p(p)
-    out = np.zeros(u.mesh.ndof + 1, dtype=u.values.dtype)
-    for h, a, b, da, db in _edge_arrays(u):
-        m = 0.5 * (a + b)
-        fa = np.abs(a) ** (p - 2.0) * a
-        fm = np.abs(m) ** (p - 2.0) * m
-        np.add.at(out, da, h / 6.0 * (fa + 2.0 * fm))
-        fb = np.abs(b) ** (p - 2.0) * b
-        np.add.at(out, db, h / 6.0 * (fb + 2.0 * fm))
-    return out[:-1]
+    h = u.mesh.el_h
+    a, b = u.mesh.element_values(u.values)
+    m = 0.5 * (a + b)
+    fa = np.abs(a) ** (p - 2.0) * a
+    fm = np.abs(m) ** (p - 2.0) * m
+    fb = np.abs(b) ** (p - 2.0) * b
+    return u.mesh.scatter(h / 6.0 * (fa + 2.0 * fm), h / 6.0 * (fb + 2.0 * fm))
 
 
 def nonlinear_jacobian(u: GraphFunction, p: float) -> sp.csr_matrix:
     """Derivative of ``nonlinear_term`` with respect to the nodal values
     (real functions only; used by the Newton refinement)."""
     _check_p(p)
-    n = u.mesh.ndof
-    rows, cols, vals = [], [], []
-    for h, a, b, da, db in _edge_arrays(u):
-        m = 0.5 * (a + b)
-        dfa = (p - 1.0) * np.abs(a) ** (p - 2.0)
-        dfb = (p - 1.0) * np.abs(b) ** (p - 2.0)
-        dfm = (p - 1.0) * np.abs(m) ** (p - 2.0)
-        waa = h / 6.0 * (dfa + dfm)
-        wbb = h / 6.0 * (dfb + dfm)
-        wab = h / 6.0 * dfm
-        for (i, j, w) in ((da, da, waa), (db, db, wbb), (da, db, wab), (db, da, wab)):
-            keep = (i < n) & (j < n)
-            rows.append(i[keep])
-            cols.append(j[keep])
-            vals.append(w[keep])
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    ).tocsr()
+    h = u.mesh.el_h
+    a, b = u.mesh.element_values(u.values)
+    m = 0.5 * (a + b)
+    dfa = (p - 1.0) * np.abs(a) ** (p - 2.0)
+    dfb = (p - 1.0) * np.abs(b) ** (p - 2.0)
+    dfm = (p - 1.0) * np.abs(m) ** (p - 2.0)
+    return u.mesh.element_matrix(
+        h / 6.0 * (dfa + dfm), h / 6.0 * (dfb + dfm), h / 6.0 * dfm
+    )
 
 
 def grad_energy(u: GraphFunction, p: float) -> np.ndarray:
@@ -175,26 +152,17 @@ def linf_ratio(u: GraphFunction) -> float:
 # Rearrangement and preimage counting
 
 
-def _elements(u: GraphFunction):
-    segs = []
-    for h, a, b, _, _ in _edge_arrays(u):
-        segs.append((h, np.real(a), np.real(b)))
-    return segs
-
-
 def distribution_function(u: GraphFunction, levels: np.ndarray) -> np.ndarray:
     """Measure of the superlevel sets {u > t}, exact for piecewise-linear u."""
     levels = np.asarray(levels, dtype=float)
-    out = np.zeros_like(levels)
-    for h, a, b, _, _ in _edge_arrays(u):
-        lo = np.minimum(a, b)[:, None]
-        hi = np.maximum(a, b)[:, None]
-        t = levels[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = (hi - t) / (hi - lo)
-        frac = np.where(hi == lo, np.where(t < lo, 1.0, 0.0), frac)
-        out += h * np.sum(np.clip(frac, 0.0, 1.0), axis=0)
-    return out
+    a, b = u.mesh.element_values(np.real(u.values))
+    lo = np.minimum(a, b)[:, None]
+    hi = np.maximum(a, b)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a flat element gives +inf below its level, -inf above, nan at it
+        frac = (hi - levels[None, :]) / (hi - lo)
+    np.clip(np.nan_to_num(frac, copy=False), 0.0, 1.0, out=frac)
+    return u.mesh.el_h @ frac
 
 
 def rearrangement(u: GraphFunction, n_nodes: int = 4001) -> GraphFunction:
@@ -230,13 +198,7 @@ def rearrangement(u: GraphFunction, n_nodes: int = 4001) -> GraphFunction:
     g = halfline_graph(name="rearranged")
     target_h = support / (n_nodes - 1)
     m = build_mesh(g, target_h, trunc=support)
-    em = m.edge_meshes[0]
-    samples = np.interp(em.coords, px, pv)
-    out = zero_function(m)
-    ext = np.zeros(m.ndof + 1)
-    ext[em.dofs] = samples
-    out.values[:] = ext[: m.ndof]
-    return out
+    return interpolate(m, {m.edge_meshes[0].edge_id: lambda x: np.interp(x, px, pv)})
 
 
 def preimage_count(u: GraphFunction, levels) -> tuple[list[int], int]:
@@ -252,15 +214,14 @@ def preimage_count(u: GraphFunction, levels) -> tuple[list[int], int]:
     peak = float(np.max(np.abs(vals)))
     if peak == 0.0:
         raise FunctionalError("preimage counts undefined for the zero function")
-    segs = _elements(u)
 
     levels = list(np.atleast_1d(np.asarray(levels, dtype=float)))
     for t in levels:
         if not (0.0 < t < np.max(vals)):
             raise FunctionalError(f"level {t} outside (0, max u)")
 
-    los = np.concatenate([np.minimum(a, b) for _, a, b in segs])
-    his = np.concatenate([np.maximum(a, b) for _, a, b in segs])
+    a, b = u.mesh.element_values(vals)
+    los, his = np.minimum(a, b), np.maximum(a, b)
 
     def count(t: float) -> int:
         strict = int(np.sum((los < t) & (t < his)))

@@ -8,6 +8,7 @@ least one halfline is required (noncompactness).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Union
@@ -43,8 +44,8 @@ class Edge:
             if self.length is not None:
                 raise GraphError(f"halfline edge {self.id!r} must not carry a length")
         else:
-            if self.length is None or not (self.length > 0):
-                raise GraphError(f"edge {self.id!r} needs a positive length")
+            if self.length is None or not (0 < self.length < math.inf):
+                raise GraphError(f"edge {self.id!r} needs a positive finite length")
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,20 @@ class Mesh:
     _stiffness: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _lumped: Optional[np.ndarray] = field(default=None, repr=False)
 
+    # element table: the left and right dof and the length of every element
+    # of every edge, in edge order; dof ndof is the fixed zero at a
+    # truncated halfline end
+    el_left: np.ndarray = field(init=False, repr=False)
+    el_right: np.ndarray = field(init=False, repr=False)
+    el_h: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.el_left = np.concatenate([em.dofs[:-1] for em in self.edge_meshes])
+        self.el_right = np.concatenate([em.dofs[1:] for em in self.edge_meshes])
+        self.el_h = np.concatenate(
+            [np.full(em.dofs.size - 1, em.spacing) for em in self.edge_meshes]
+        )
+
     def edge_mesh(self, edge_id: str) -> EdgeMesh:
         for em in self.edge_meshes:
             if em.edge_id == edge_id:
@@ -66,27 +80,34 @@ class Mesh:
         mask[self.vertex_dofs] = False
         return mask
 
-    def _assemble(self) -> None:
-        rows, cols, mvals, kvals = [], [], [], []
-        for em in self.edge_meshes:
-            h = em.spacing
-            a, b = em.dofs[:-1], em.dofs[1:]
-            for (i, j, mv, kv) in (
-                (a, a, h / 3.0, 1.0 / h),
-                (b, b, h / 3.0, 1.0 / h),
-                (a, b, h / 6.0, -1.0 / h),
-                (b, a, h / 6.0, -1.0 / h),
-            ):
-                keep = (i < self.ndof) & (j < self.ndof)
-                rows.append(i[keep])
-                cols.append(j[keep])
-                mvals.append(np.full(keep.sum(), mv))
-                kvals.append(np.full(keep.sum(), kv))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
+    def element_values(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Nodal values ``(a, b)`` at the left and right end of every element."""
+        ext = np.append(v, 0.0)
+        return ext[self.el_left], ext[self.el_right]
+
+    def scatter(self, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+        """Nodal vector summing per-element contributions ``wa`` to the left
+        and ``wb`` to the right dofs (real or complex)."""
+        if np.iscomplexobj(wa):
+            return self.scatter(wa.real, wb.real) + 1j * self.scatter(wa.imag, wb.imag)
+        n = self.ndof + 1
+        out = np.bincount(self.el_left, wa, n) + np.bincount(self.el_right, wb, n)
+        return out[:-1]
+
+    def element_matrix(self, waa, wbb, wab) -> sp.csr_matrix:
+        """Sum of the symmetric element blocks [[waa, wab], [wab, wbb]]."""
+        a, b = self.el_left, self.el_right
+        rows = np.concatenate([a, b, a, b])
+        cols = np.concatenate([a, b, b, a])
+        vals = np.concatenate([waa, wbb, wab, wab])
+        keep = (rows < self.ndof) & (cols < self.ndof)
         shape = (self.ndof, self.ndof)
-        self._mass = sp.coo_matrix((np.concatenate(mvals), (rows, cols)), shape=shape).tocsr()
-        self._stiffness = sp.coo_matrix((np.concatenate(kvals), (rows, cols)), shape=shape).tocsr()
+        return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+
+    def _assemble(self) -> None:
+        h = self.el_h
+        self._mass = self.element_matrix(h / 3.0, h / 3.0, h / 6.0)
+        self._stiffness = self.element_matrix(1.0 / h, 1.0 / h, -1.0 / h)
         self._lumped = np.asarray(self._mass.sum(axis=1)).ravel()
 
     @property

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
@@ -130,13 +129,12 @@ def migrated_mass(u: GraphFunction) -> float:
     """Mass sitting beyond the midpoint of any truncated halfline: a
     diagnostic for runaway toward infinity."""
     total = 0.0
-    ext = np.append(np.real(u.values), 0.0)
     for em in u.mesh.edge_meshes:
         if not em.is_halfline:
             continue
         half = em.coords[-1] / 2.0
-        a = ext[em.dofs[:-1]]
-        b = ext[em.dofs[1:]]
+        vals = np.real(u.edge_values(em.edge_id))
+        a, b = vals[:-1], vals[1:]
         mids = 0.5 * (em.coords[:-1] + em.coords[1:])
         sel = mids > half
         total += em.spacing / 3.0 * float(
@@ -163,7 +161,7 @@ def _stationarity_residual(mesh, x, mults, mu, p, w=None):
     norm), the pin term scaled by the strong-form norm of w."""
     lumped = mesh.lumped_mass
     Mx = mesh.mass_matrix @ x
-    F1 = mesh.stiffness_matrix @ x - fn.nonlinear_term(GraphFunction(mesh, x), p) + mults[0] * Mx
+    F1 = fn.grad_energy(GraphFunction(mesh, x), p) + mults[0] * Mx
     Fb = [0.5 * (float(x @ Mx) - mu)]
     if w is not None:
         F1 = F1 + mults[1] * w
@@ -370,9 +368,7 @@ def _descend(
     switch_tol = max(1e-3 * max(1.0, mu), 10.0 * tol)
 
     def residual(xv):
-        gf = GraphFunction(mesh, xv)
-        n = fn.nonlinear_term(gf, p)
-        g = K @ xv - n
+        g = fn.grad_energy(GraphFunction(mesh, xv), p)
         lam = -float(xv @ g) / mu
         return g + lam * (M @ xv), lam
 
@@ -618,20 +614,14 @@ def bound_state_catalogue(
     jobs: int = 1,
 ) -> list[SolveReport]:
     """One constrained minimization per bounded edge (k bound states for k
-    bounded edges at large mass)."""
+    bounded edges at large mass).  ``jobs`` is accepted for compatibility;
+    the edges are solved serially."""
     edges = [e.id for e in g.bounded_edges]
     if not edges:
         raise SolveError("graph has no bounded edge")
     model = make_model(p)
     mesh = _resolve_mesh(g, cfg, model, mu)
-
-    def run(eid):
-        return minimize_on_edge(g, eid, mu, p, cfg, mesh=mesh)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, edges))
-    return [run(eid) for eid in edges]
+    return [minimize_on_edge(g, eid, mu, p, cfg, mesh=mesh) for eid in edges]
 
 
 def _random_starts(mesh: Mesh, seed: int, count: int = 2):
@@ -738,7 +728,8 @@ def scan_mass_threshold(
     jobs: int = 1,
 ) -> ThresholdReport:
     """Empirical probe of the mass threshold: solve at each grid mass and
-    record the first with an interior minimizer."""
+    record the first with an interior minimizer.  ``jobs`` is accepted for
+    compatibility; the masses are solved serially."""
     grid = list(mu_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise SolveError("mass grid must be nonempty and strictly increasing")
@@ -750,11 +741,7 @@ def scan_mass_threshold(
         except SolveError:
             return "not-converged", float("nan")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, grid))
-    else:
-        results = [run(mu) for mu in grid]
+    results = [run(mu) for mu in grid]
     statuses = [s for s, _ in results]
     energies = [e for _, e in results]
 

@@ -32,7 +32,7 @@ def el_residual(u: GraphFunction, lam: float, p: float) -> float:
     r = K u - n(u) + lambda M u."""
     mesh = u.mesh
     v = np.real(u.values).astype(float)
-    r = mesh.stiffness_matrix @ v - fn.nonlinear_term(u, p) + lam * (mesh.mass_matrix @ v)
+    r = fn.grad_energy(GraphFunction(mesh, v), p) + lam * (mesh.mass_matrix @ v)
     mask = mesh.interior_mask
     return math.sqrt(float(np.sum(r[mask] ** 2 / mesh.lumped_mass[mask])))
 
@@ -53,7 +53,7 @@ def kirchhoff_residual(
         if p is None:
             raise VerifyError("p is required when lam is given")
         v = np.real(u.values).astype(float)
-        r = mesh.stiffness_matrix @ v - fn.nonlinear_term(u, p) + lam * (mesh.mass_matrix @ v)
+        r = fn.grad_energy(GraphFunction(mesh, v), p) + lam * (mesh.mass_matrix @ v)
         return float(np.max(np.abs(r[mesh.vertex_dofs]))) if mesh.ndof else 0.0
 
     sums = {vtx: 0.0 for vtx in mesh.graph.vertices}

@@ -126,6 +126,41 @@ def test_scan_bad_masses_is_usage_error():
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "nan"],
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "inf"],
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "-1"],
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "0"],
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "8", "--p", "7"],
+        ["ground", "--graph", "halfline", "--mass", "2", "--p", "2"],
+        ["catalogue", "--graph", "double-bridge", "--mass", "8", "--p", "nan"],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "0.5,nan"],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses=-1,2"],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "1,inf"],
+    ],
+)
+def test_bad_mass_or_exponent_is_usage_error(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert err.count("\n") == 1
+
+
+def test_overflowing_edge_length_is_graph_error(capsys):
+    doc = (
+        '{"vertices": ["a", "b"], "edges": ['
+        '{"id": "e", "from": "a", "to": "b", "length": 1e400},'
+        '{"id": "h1", "from": "a", "halfline": true},'
+        '{"id": "h2", "from": "b", "halfline": true}]}'
+    )
+    assert run(["solve", "--graph", doc, "--edge", "e", "--mass", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "positive finite length" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "v.json"
     rc = run(

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from graphnls import functional as fn
-from graphnls.graphs import double_bridge_graph, halfline_graph, line_graph, star_graph
+from graphnls.graphs import (
+    double_bridge_graph,
+    example_graph,
+    halfline_graph,
+    line_graph,
+    star_graph,
+)
 from graphnls.mesh import build_mesh, interpolate, place_profile, zero_function
 from graphnls.soliton import make_model, soliton_profile
 
@@ -171,3 +177,93 @@ def test_halfline_half_soliton_saturates_gn():
     sharp = gn_sharp_constant(model)
     assert fn.gn_ratio(u, 4.0) == pytest.approx(sharp, rel=1e-4)
     assert fn.gn_ratio(u, 4.0) <= sharp * (1.0 + 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# The mesh's element table against an edge-by-edge reference
+
+
+def per_edge_reference(mesh, v, p):
+    """Mass, stiffness, nonlinear term, its Jacobian and the two L^p powers,
+    assembled edge by edge and element by element into dense arrays; the
+    row and column of the fixed zero are dropped at the end."""
+    n = mesh.ndof
+    ext = np.append(v, 0.0)
+    M, K, W = (np.zeros((n + 1, n + 1)) for _ in range(3))
+    nl = np.zeros(n + 1, dtype=ext.dtype)
+    quad = exact = 0.0
+    f = lambda z: abs(z) ** (p - 2.0) * z
+    df = lambda z: (p - 1.0) * abs(z) ** (p - 2.0)
+    G = lambda z: np.sign(z) * abs(z) ** (p + 1.0) / (p + 1.0)
+    for em in mesh.edge_meshes:
+        h = em.spacing
+        for i, j in zip(em.dofs[:-1], em.dofs[1:]):
+            a, b = ext[i], ext[j]
+            m = 0.5 * (a + b)
+            for (r, c, mv, kv, wv) in (
+                (i, i, h / 3.0, 1.0 / h, h / 6.0 * (df(a) + df(m))),
+                (j, j, h / 3.0, 1.0 / h, h / 6.0 * (df(b) + df(m))),
+                (i, j, h / 6.0, -1.0 / h, h / 6.0 * df(m)),
+                (j, i, h / 6.0, -1.0 / h, h / 6.0 * df(m)),
+            ):
+                M[r, c] += mv
+                K[r, c] += kv
+                W[r, c] += wv
+            nl[i] += h / 6.0 * (f(a) + 2.0 * f(m))
+            nl[j] += h / 6.0 * (f(b) + 2.0 * f(m))
+            quad += h / 6.0 * (abs(a) ** p + 4.0 * abs(m) ** p + abs(b) ** p)
+            if not np.iscomplexobj(ext):
+                exact += h * (G(b) - G(a)) / (b - a)
+    return {
+        "M": M[:n, :n], "K": K[:n, :n], "lumped": M[:n, :n].sum(axis=1),
+        "W": W[:n, :n], "nl": nl[:n], "quad": quad, "exact": exact,
+    }
+
+
+def assert_rel_close(got, ref, rtol=1e-13):
+    got = got.toarray() if hasattr(got, "toarray") else np.asarray(got)
+    assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.fixture(
+    scope="module",
+    params=[lambda: example_graph(1), lambda: double_bridge_graph(0.3)],
+    ids=["example1-self-loop", "double-bridge-halflines"],
+)
+def table_mesh(request):
+    return build_mesh(request.param(), h=0.05, trunc=2.0)
+
+
+def test_element_table_covers_every_element(table_mesh):
+    n_elem = sum(em.dofs.size - 1 for em in table_mesh.edge_meshes)
+    assert table_mesh.el_left.shape == table_mesh.el_right.shape == table_mesh.el_h.shape
+    assert table_mesh.el_h.size == n_elem
+    # the fixed zero appears only on halfline elements
+    assert np.sum(table_mesh.el_right == table_mesh.ndof) == len(table_mesh.graph.halflines)
+
+
+def test_matrices_match_per_edge_assembly(table_mesh):
+    ref = per_edge_reference(table_mesh, random_state(table_mesh, 5).values, 4.0)
+    assert_rel_close(table_mesh.mass_matrix, ref["M"])
+    assert_rel_close(table_mesh.stiffness_matrix, ref["K"])
+    assert_rel_close(table_mesh.lumped_mass, ref["lumped"])
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.5])
+def test_real_functionals_match_per_edge_loop(table_mesh, p):
+    u = random_state(table_mesh, 17)
+    ref = per_edge_reference(table_mesh, u.values, p)
+    assert_rel_close(fn.nonlinear_term(u, p), ref["nl"])
+    assert_rel_close(fn.nonlinear_jacobian(u, p), ref["W"])
+    assert fn.lp_power_quad(u, p) == pytest.approx(ref["quad"], rel=1e-13)
+    assert fn.lp_power_exact(u, p) == pytest.approx(ref["exact"], rel=1e-13)
+
+
+def test_complex_functionals_match_per_edge_loop(table_mesh):
+    rng = np.random.default_rng(23)
+    n = table_mesh.ndof
+    u = zero_function(table_mesh, complex_valued=True)
+    u.values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ref = per_edge_reference(table_mesh, u.values, 4.0)
+    assert_rel_close(fn.nonlinear_term(u, 4.0), ref["nl"])
+    assert fn.lp_power_quad(u, 4.0) == pytest.approx(ref["quad"], rel=1e-13)

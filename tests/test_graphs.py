@@ -33,6 +33,20 @@ def test_edge_validation():
         Edge("e", "a", "b", None)  # bounded edge needs a length
     with pytest.raises(GraphError):
         Edge("h", "a", None, 3.0)  # halfline must not carry a length
+    for length in (float("inf"), float("nan")):
+        with pytest.raises(GraphError, match="positive finite length"):
+            Edge("e", "a", "b", length)
+
+
+def test_load_graph_rejects_overflowing_length():
+    # JSON 1e400 parses to inf; it must fail as a graph error, not in meshing
+    doc = (
+        '{"vertices": ["a", "b"], "edges": ['
+        '{"id": "e", "from": "a", "to": "b", "length": 1e400},'
+        '{"id": "h", "from": "a", "halfline": true}]}'
+    )
+    with pytest.raises(GraphError, match="positive finite length"):
+        load_graph(doc)
 
 
 def test_graph_lookup_and_degree():
