@@ -153,16 +153,23 @@ def linf_ratio(u: GraphFunction) -> float:
 
 
 def distribution_function(u: GraphFunction, levels: np.ndarray) -> np.ndarray:
-    """Measure of the superlevel sets {u > t}, exact for piecewise-linear u."""
+    """Measure of the superlevel sets {u > t}, exact for piecewise-linear u.
+
+    The levels go in blocks, so that each elements x levels temporary holds
+    about 2^20 entries whatever the mesh size."""
     levels = np.asarray(levels, dtype=float)
     a, b = u.mesh.element_values(np.real(u.values))
     lo = np.minimum(a, b)[:, None]
     hi = np.maximum(a, b)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a flat element gives +inf below its level, -inf above, nan at it
-        frac = (hi - levels[None, :]) / (hi - lo)
-    np.clip(np.nan_to_num(frac, copy=False), 0.0, 1.0, out=frac)
-    return u.mesh.el_h @ frac
+    block = max(1, 2**20 // lo.shape[0])
+    out = np.empty(levels.size)
+    for s in range(0, levels.size, block):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a flat element gives +inf below its level, -inf above, nan at it
+            frac = (hi - levels[None, s : s + block]) / (hi - lo)
+        np.clip(np.nan_to_num(frac, copy=False), 0.0, 1.0, out=frac)
+        out[s : s + block] = u.mesh.el_h @ frac
+    return out
 
 
 def rearrangement(u: GraphFunction, n_nodes: int = 4001) -> GraphFunction:

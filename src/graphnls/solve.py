@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import functional as fn
-from .graphs import GraphError, MetricGraph
-from .mesh import GraphFunction, Mesh, argmax, build_mesh, zero_function
-from .soliton import SolitonError, SolitonModel, compact_competitor, make_model
+from .graphs import MetricGraph
+from .mesh import GraphFunction, Mesh, argmax, build_mesh
+from .soliton import SolitonError, SolitonModel, compact_competitor, energy_levels, make_model
 
 logger = logging.getLogger(__name__)
 
@@ -40,8 +40,6 @@ class SolveError(RuntimeError):
 class SolveConfig:
     grad_tol: float = 1e-8
     max_iter: int = 20000
-    step_rule: str = "adaptive"      # "adaptive" (two-point) | "fixed"
-    fixed_step: float = 0.5
     h: float = 0.01
     truncation: Union[float, str] = "auto"
     seed: int = 0
@@ -51,8 +49,6 @@ class SolveConfig:
             raise SolveError("grad tolerance must be positive")
         if self.max_iter < 1:
             raise SolveError("max iterations must be at least 1")
-        if self.step_rule not in ("adaptive", "fixed"):
-            raise SolveError(f"unknown step rule {self.step_rule!r}")
 
 
 @dataclass
@@ -95,7 +91,6 @@ class SolveReport:
             "config": {
                 "grad_tol": self.config.grad_tol,
                 "max_iter": self.config.max_iter,
-                "step_rule": self.config.step_rule,
                 "h": self.config.h,
                 "truncation": self.config.truncation,
                 "seed": self.config.seed,
@@ -263,13 +258,15 @@ def _pinned_newton(mesh, x0, lam, mu, p, w, tol, max_iter=30):
 
 
 def _equilibrate_translation(mesh, x0, lam0, mu, p, edge_id, tol):
-    """Find the equilibrium peak position along a bounded edge.
+    """Find the equilibrium peak position along an edge.
 
     Sharp solitons on an edge have a nearly flat translation mode, so plain
     Newton fails when the peak is away from its equilibrium.  Pin the
-    translation mode at a trial center c, solve the pinned system, and
-    root-find the pin multiplier nu(c) = 0 over c.  Returns (x, lam) at the
-    unpinned critical point, or None when no interior equilibrium exists.
+    translation mode at a trial center c, solve the pinned system, and take
+    secant steps on the pin multiplier nu(c) until it vanishes.  Since
+    nu ~ (dE/dc) / |w|^2, the first step goes downhill.  Returns (x, lam)
+    at the unpinned critical point, or None when a pinned solve fails, a
+    center leaves [2h, L - 2h], or 40 solves do not converge.
     """
     em = mesh.edge_mesh(edge_id)
     length = em.coords[-1]
@@ -278,70 +275,29 @@ def _equilibrate_translation(mesh, x0, lam0, mu, p, edge_id, tol):
     if hi_c <= lo_c:
         return None
 
-    u = GraphFunction(mesh, x0)
-    vals = np.abs(u.edge_values(edge_id))
-    c0 = float(np.clip(em.coords[int(np.argmax(vals))], lo_c, hi_c))
-
-    cache = {"x": np.array(x0, dtype=float), "lam": lam0}
+    vals = np.abs(GraphFunction(mesh, x0).edge_values(edge_id))
+    c = float(np.clip(em.coords[int(np.argmax(vals))], lo_c, hi_c))
+    x, lam = np.array(x0, dtype=float), lam0
     pin_tol = max(tol, 1e-10)
-
-    def nu_of(c):
-        w = _translation_pin_vector(mesh, edge_id, p, max(cache["lam"], 1e-6), c)
-        x, lam, nu, ok = _pinned_newton(mesh, cache["x"], cache["lam"], mu, p, w, pin_tol)
+    xtol = 1e-12 * max(1.0, length)
+    c_prev = nu_prev = None
+    for _ in range(40):
+        w = _translation_pin_vector(mesh, edge_id, p, max(lam, 1e-6), c)
+        x, lam, nu, ok = _pinned_newton(mesh, x, lam, mu, p, w, pin_tol)
         if not ok:
             return None
-        cache["x"], cache["lam"] = x, lam
-        return nu
-
-    nu0 = nu_of(c0)
-    if nu0 is None:
-        return None
-    snapshot0 = (cache["x"].copy(), cache["lam"])
-
-    # walk outward from c0 until nu changes sign; pinned solves are warm
-    # started, so each direction restarts from the c0 state
-    step = max(0.05 * length, 2.0 * h)
-    bracket = None
-    for direction in (1.0, -1.0):
-        cache["x"], cache["lam"] = snapshot0[0].copy(), snapshot0[1]
-        c_prev, nu_prev = c0, nu0
-        snap_prev = (cache["x"].copy(), cache["lam"])
-        c = c0
-        for _ in range(40):
-            c = c + direction * step
-            if not (lo_c <= c <= hi_c):
-                break
-            nu_c = nu_of(c)
-            if nu_c is None:
-                break
-            if nu_c == 0.0:
-                return cache["x"], cache["lam"]
-            if nu_c * nu_prev < 0.0:
-                bracket = (min(c_prev, c), max(c_prev, c), snap_prev)
-                break
-            c_prev, nu_prev = c, nu_c
-            snap_prev = (cache["x"].copy(), cache["lam"])
-        if bracket:
-            break
-    if bracket is None:
-        return None
-
-    from scipy.optimize import brentq
-
-    lo_b, hi_b, snap = bracket
-    cache["x"], cache["lam"] = snap[0].copy(), snap[1]
-
-    def f(c):
-        nu_c = nu_of(c)
-        if nu_c is None:
-            raise SolveError("pinned solve diverged during bracketing")
-        return nu_c
-
-    try:
-        brentq(f, lo_b, hi_b, xtol=1e-12 * max(1.0, length))
-    except (ValueError, SolveError):
-        return None
-    return cache["x"], cache["lam"]
+        if nu == 0.0 or (c_prev is not None and abs(c - c_prev) <= xtol):
+            return x, lam
+        if c_prev is None:
+            c_next = c - math.copysign(max(0.05 * length, 2.0 * h), nu)
+        else:
+            # nu is a numpy float: a flat secant gives an infinite step,
+            # which leaves the edge below
+            c_next = c - nu * (c - c_prev) / (nu - nu_prev)
+        c_prev, nu_prev, c = c, nu, c_next
+        if not (lo_c <= c <= hi_c):
+            return None
+    return None
 
 
 def _descend(
@@ -381,7 +337,7 @@ def _descend(
         return fn.energy(gf, p).total
 
     e_now = total_energy(x)
-    step = cfg.fixed_step
+    step = 0.5
     off_edge_streak = 0
     left_edge = False
     prev_x = None
@@ -400,7 +356,7 @@ def _descend(
         Mx = M @ x
         d = d - (float(d @ Mx) / mu) * x
 
-        if cfg.step_rule == "adaptive" and prev_x is not None:
+        if prev_x is not None:
             dx = x - prev_x
             dr = r - prev_r
             denom = float(dx @ dr)
@@ -451,16 +407,12 @@ def _descend(
     r, lam = residual(x)
     xn, lamn, resn, ok = _newton_refine(mesh, x, lam, mu, p, tol)
     if not ok:
-        # sharp solitons on a bounded edge carry a nearly flat translation
+        # sharp solitons on an edge carry a nearly flat translation
         # mode; equilibrate the peak position before the final polish
-        try:
-            top_edge = argmax(GraphFunction(mesh, x))[0]
-        except Exception:
-            top_edge = None
-        if top_edge is not None:
-            eq = _equilibrate_translation(mesh, x, lam, mu, p, top_edge, tol)
-            if eq is not None:
-                xn, lamn, resn, ok = _newton_refine(mesh, eq[0], eq[1], mu, p, tol)
+        top_edge = argmax(GraphFunction(mesh, x))[0]
+        eq = _equilibrate_translation(mesh, x, lam, mu, p, top_edge, tol)
+        if eq is not None:
+            xn, lamn, resn, ok = _newton_refine(mesh, eq[0], eq[1], mu, p, tol)
     if ok:
         # the far tails sit at float-noise scale where Newton may leave
         # tiny negative values; fold them back (energy and mass unchanged)
@@ -689,8 +641,7 @@ def ground_state(
         raise SolveError("no descent run converged")
     best = min(converged, key=lambda r: r.energy.total)
 
-    line_level = -model.theta * mu ** (2.0 * model.beta + 1.0)
-    half_level = 2.0 ** (2.0 * model.beta) * line_level
+    line_level, half_level = energy_levels(model, mu)
     tol = 1e-3 * abs(line_level) + 1e-12
     if not (half_level - tol <= best.energy.total <= line_level + tol):
         logger.warning(

@@ -105,6 +105,16 @@ def test_distribution_function_exact_on_hat():
     assert np.allclose(rho, 0.5 * (1.0 - levels), atol=1e-12)
 
 
+def test_distribution_function_blocks_of_levels():
+    # 14000 elements put 74 levels in a block, so 999 levels take 14 blocks
+    mesh = build_mesh(double_bridge_graph(1.0), h=0.0005, trunc=1.5)
+    hat = lambda x: np.clip(1.0 - np.abs(x) / 0.25, 0.0, None)
+    u = place_profile(mesh, "e", hat, 0.5, support_radius=0.25)
+    levels = np.linspace(0.0, 1.0, 1001)[1:-1]
+    rho = fn.distribution_function(u, levels)
+    assert np.allclose(rho, 0.5 * (1.0 - levels), atol=1e-12)
+
+
 def test_rearrangement_preserves_norms_and_drops_kinetic():
     mesh = build_mesh(star_graph(3), h=0.02, trunc=8.0)
     rng = np.random.default_rng(9)

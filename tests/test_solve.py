@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 from graphnls import functional as fn
+from graphnls import solve as solve_module
 from graphnls.graphs import (
     double_bridge_graph,
     example_graph,
@@ -11,12 +12,13 @@ from graphnls.graphs import (
     line_graph,
     star_graph,
 )
-from graphnls.mesh import argmax, build_mesh, place_profile, zero_function
+from graphnls.mesh import GraphFunction, argmax, build_mesh, place_profile, zero_function
 from graphnls.solve import (
     SolveConfig,
     SolveError,
     _bordered_solve,
     _classify,
+    _equilibrate_translation,
     _newton_refine,
     _translation_pin_vector,
     bound_state_catalogue,
@@ -27,7 +29,7 @@ from graphnls.solve import (
     project_mass,
     scan_mass_threshold,
 )
-from graphnls.soliton import energy_levels, make_model
+from graphnls.soliton import energy_levels, make_model, soliton_profile
 
 CFG = SolveConfig(h=0.02, truncation=8.0)
 
@@ -216,6 +218,47 @@ def test_newton_refine_keeps_converged_state(ex3_newton_system):
     _, lam, res, ok = _newton_refine(mesh, x, rep.lam, 10.0, 4.0, 1e-10)
     assert ok and res <= 1e-10
     assert lam == pytest.approx(rep.lam, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def ex1_e1_state():
+    rep = minimize_on_edge(example_graph(1), "e1", 50.0, 4.0, SolveConfig(h=0.02, truncation=2.0))
+    assert rep.converged
+    return rep
+
+
+@pytest.mark.parametrize("offset", [-0.2, -0.1, 0.1, 0.2])
+def test_equilibrate_translation_recovers_off_center_soliton(ex1_e1_state, offset):
+    # a line soliton placed off the equilibrium peak position stalls plain
+    # Newton on the flat translation mode; equilibration moves it back
+    rep = ex1_e1_state
+    mesh = rep.minimizer.mesh
+    mu, p, tol = 50.0, 4.0, 1e-8 * 50.0
+    c_star = argmax(rep.minimizer)[1]
+    f = soliton_profile(make_model(p), mu)[0]
+    u = project_mass(place_profile(mesh, "e1", f, c_star + offset), mu)
+    lam = lagrange_multiplier(u, p)
+    assert not _newton_refine(mesh, u.values, lam, mu, p, tol)[3]
+    eq = _equilibrate_translation(mesh, u.values, lam, mu, p, "e1", tol)
+    assert eq is not None
+    x, lam, _, ok = _newton_refine(mesh, eq[0], eq[1], mu, p, tol)
+    assert ok
+    energy = fn.energy(GraphFunction(mesh, x), p).total
+    assert energy == pytest.approx(rep.energy.total, rel=1e-10)
+    assert lam == pytest.approx(rep.lam, rel=1e-10)
+
+
+def test_equilibrate_translation_needs_room_on_the_edge(monkeypatch):
+    # on an edge of length 4h the admissible centers [2h, L - 2h] collapse,
+    # so no pinned solve is tried
+    def no_pinned_solve(*args, **kwargs):
+        raise AssertionError("pinned solve on an edge without room")
+
+    monkeypatch.setattr(solve_module, "_pinned_newton", no_pinned_solve)
+    mesh = build_mesh(double_bridge_graph(0.04), h=0.01, trunc=2.0)
+    u = project_mass(place_profile(mesh, "e", lambda x: 1.0 - np.abs(x) / 0.02, 0.02), 1.0)
+    lam = lagrange_multiplier(u, 4.0)
+    assert _equilibrate_translation(mesh, u.values, lam, 1.0, 4.0, "e", 1e-8) is None
 
 
 def test_ground_state_halfline_matches_half_soliton():
