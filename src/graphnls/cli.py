@@ -119,6 +119,20 @@ def _exponent(text: str) -> float:
     return _number_in(text, 2.0, 6.0, "p")
 
 
+def _finite(text: str) -> float:
+    return _number_in(text, -math.inf, math.inf, "value")
+
+
+def _stride(text: str) -> int:
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"stride {text!r} is not an integer >= 1")
+    return k
+
+
 def _config(args) -> SolveConfig:
     trunc = args.trunc
     if trunc != "auto":
@@ -283,10 +297,10 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("evolve", help="solve on one edge, perturb, and evolve")
     _add_solver_flags(sp, need_edge=True)
-    sp.add_argument("--epsilon", type=float, default=1e-2)
-    sp.add_argument("--t-final", type=float, default=10.0)
-    sp.add_argument("--dt", type=float, default=1e-3)
-    sp.add_argument("--stride", type=int, default=10)
+    sp.add_argument("--epsilon", type=_finite, default=1e-2)
+    sp.add_argument("--t-final", type=_finite, default=10.0)
+    sp.add_argument("--dt", type=_finite, default=1e-3)
+    sp.add_argument("--stride", type=_stride, default=10)
     sp.set_defaults(func=_cmd_evolve)
 
     return p

@@ -5,8 +5,9 @@ The semidiscrete flow is i M du/dt = K u - n(u).  One step solves
     (i M / dt - K / 2) u_new = (i M / dt + K / 2) u_old - n(u_mid)
 
 with u_mid = (u_old + u_new) / 2, by fixed-point iteration on the
-prefactored linear operator.  At fixed-point convergence the scheme
-conserves the discrete mass exactly and a stationary state evolves as
+prefactored linear operator, started from the quadratic extrapolation of
+the last three states.  At fixed-point convergence the scheme conserves
+the discrete mass exactly and a stationary state evolves as
 exp(i lambda t) times itself.
 """
 
@@ -22,9 +23,6 @@ from scipy.sparse.linalg import splu
 from . import functional as fn
 from .mesh import GraphFunction, Mesh
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class EvolveError(RuntimeError):
     """Raised when a time step fails to converge or the state blows up."""
 
@@ -36,6 +34,7 @@ class EvolveResult:
     mass_history: np.ndarray
     energy_history: np.ndarray
     sweeps_max: int
+    sweeps_total: int
 
     @property
     def mass_drift(self) -> float:
@@ -56,8 +55,12 @@ def evolve(
     callback: Optional[Callable[[float, GraphFunction], None]] = None,
 ) -> EvolveResult:
     """March the Crank-Nicolson flow from 0 to ``t_final`` in steps of ``dt``."""
-    if dt <= 0 or t_final < dt:
-        raise EvolveError("need 0 < dt <= t_final")
+    if not (math.isfinite(t_final) and 0 < dt <= t_final):
+        raise EvolveError("need finite 0 < dt <= t_final")
+    if max_sweeps < 1:
+        raise EvolveError("need max_sweeps >= 1")
+    if not np.all(np.isfinite(u0.values)):
+        raise EvolveError("initial state has non-finite values")
     n_steps = int(round(t_final / dt))
     mesh = u0.mesh
     M = mesh.mass_matrix
@@ -74,11 +77,17 @@ def evolve(
     gf = GraphFunction(mesh, u)
     masses[0] = fn.mass(gf)
     energies[0] = fn.energy(gf, p).total
-    sweeps_max = 0
+    sweeps_max = sweeps_total = 0
+    u_prev = u_prev2 = None
 
     for step in range(n_steps):
         c = B @ u
-        un = u.copy()
+        if u_prev is None:
+            un = u.copy()
+        elif u_prev2 is None:
+            un = 2.0 * u - u_prev
+        else:
+            un = 3.0 * (u - u_prev) + u_prev2
         converged = False
         for sweep in range(max_sweeps):
             mid = 0.5 * (u + un)
@@ -89,6 +98,7 @@ def evolve(
             if delta <= fp_tol * scale0:
                 converged = True
                 sweeps_max = max(sweeps_max, sweep + 1)
+                sweeps_total += sweep + 1
                 break
         if not converged:
             raise EvolveError(
@@ -97,7 +107,7 @@ def evolve(
             )
         if not np.all(np.isfinite(un)):
             raise EvolveError(f"non-finite values at step {step}; the state blew up")
-        u = un
+        u_prev2, u_prev, u = u_prev, u, un
         gf = GraphFunction(mesh, u)
         times[step + 1] = (step + 1) * dt
         masses[step + 1] = fn.mass(gf)
@@ -111,6 +121,7 @@ def evolve(
         mass_history=masses,
         energy_history=energies,
         sweeps_max=sweeps_max,
+        sweeps_total=sweeps_total,
     )
 
 
@@ -124,36 +135,18 @@ def h1_norm(u: GraphFunction) -> float:
     return math.sqrt(max(float(np.real(_h1_product(u.mesh, u.values, u.values))), 0.0))
 
 
-def orbital_distance(u: GraphFunction, v: GraphFunction, n_grid: int = 256) -> float:
+def orbital_distance(u: GraphFunction, v: GraphFunction) -> float:
     """min over phases theta of the H1 distance || exp(i theta) u - v ||.
 
-    Coarse scan over ``n_grid`` equispaced phases, then golden-section
-    refinement of the best bracket.
+    The squared distance is ||u||^2 + ||v||^2 - 2 Re(exp(i theta) z) with
+    z = <v, u>, least at theta = -arg z.  The difference is formed at that
+    phase rather than through the norms, which cancel when u and v are close.
     """
     if u.mesh is not v.mesh:
         raise EvolveError("orbital distance requires functions on the same mesh")
-    mesh = u.mesh
-    a = float(np.real(_h1_product(mesh, u.values, u.values)))
-    b = float(np.real(_h1_product(mesh, v.values, v.values)))
-    z = _h1_product(mesh, v.values, u.values)
-
-    def dist_sq(theta: float) -> float:
-        return a + b - 2.0 * (math.cos(theta) * z.real - math.sin(theta) * z.imag)
-
-    thetas = np.linspace(0.0, 2.0 * math.pi, n_grid, endpoint=False)
-    vals = [dist_sq(t) for t in thetas]
-    k = int(np.argmin(vals))
-    step = 2.0 * math.pi / n_grid
-    lo, hi = thetas[k] - step, thetas[k] + step
-    for _ in range(60):
-        m1 = hi - GOLDEN * (hi - lo)
-        m2 = lo + GOLDEN * (hi - lo)
-        if dist_sq(m1) <= dist_sq(m2):
-            hi = m2
-        else:
-            lo = m1
-    best = dist_sq(0.5 * (lo + hi))
-    return math.sqrt(max(best, 0.0))
+    z = _h1_product(u.mesh, v.values, u.values)
+    w = np.exp(-1j * np.angle(z)) * u.values - v.values
+    return h1_norm(GraphFunction(u.mesh, w))
 
 
 def smoothed_perturbation(mesh: Mesh, seed: int = 0) -> np.ndarray:
@@ -174,6 +167,8 @@ class StabilityReport:
     mass_drift: float
     energy_drift: float
     epsilon: float
+    sweeps: int         # fixed-point sweeps over all Crank-Nicolson steps
+    sweeps_max: int     # most sweeps taken by one step
 
     @property
     def max_distance(self) -> float:
@@ -187,6 +182,8 @@ class StabilityReport:
             "energy_drift": self.energy_drift,
             "epsilon": self.epsilon,
             "max_distance": self.max_distance,
+            "sweeps": self.sweeps,
+            "sweeps_max": self.sweeps_max,
         }
 
 
@@ -207,6 +204,10 @@ def stability_probe(
     ``report`` is a solve report (its minimizer is used) or a plain
     GraphFunction; ``stride`` thins the recorded distance samples.
     """
+    if not math.isfinite(epsilon):
+        raise EvolveError(f"epsilon must be finite, got {epsilon}")
+    if stride < 1:
+        raise EvolveError(f"stride must be at least 1, got {stride}")
     state = report.minimizer if hasattr(report, "minimizer") else report
     mesh = state.mesh
     mu = fn.mass(state)
@@ -240,4 +241,6 @@ def stability_probe(
         mass_drift=result.mass_drift,
         energy_drift=result.energy_drift,
         epsilon=epsilon,
+        sweeps=result.sweeps_total,
+        sweeps_max=result.sweeps_max,
     )

@@ -49,6 +49,7 @@ class Mesh:
     _mass: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _stiffness: Optional[sp.csr_matrix] = field(default=None, repr=False)
     _lumped: Optional[np.ndarray] = field(default=None, repr=False)
+    _simpson: Optional[tuple] = field(default=None, repr=False)
 
     # element table: the left and right dof and the length of every element
     # of every edge, in edge order; dof ndof is the fixed zero at a
@@ -86,10 +87,8 @@ class Mesh:
         return ext[self.el_left], ext[self.el_right]
 
     def scatter(self, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-        """Nodal vector summing per-element contributions ``wa`` to the left
-        and ``wb`` to the right dofs (real or complex)."""
-        if np.iscomplexobj(wa):
-            return self.scatter(wa.real, wb.real) + 1j * self.scatter(wa.imag, wb.imag)
+        """Nodal vector summing real per-element contributions ``wa`` to the
+        left and ``wb`` to the right dofs."""
         n = self.ndof + 1
         out = np.bincount(self.el_left, wa, n) + np.bincount(self.el_right, wb, n)
         return out[:-1]
@@ -109,6 +108,17 @@ class Mesh:
         self._mass = self.element_matrix(h / 3.0, h / 3.0, h / 6.0)
         self._stiffness = self.element_matrix(1.0 / h, 1.0 / h, -1.0 / h)
         self._lumped = np.asarray(self._mass.sum(axis=1)).ravel()
+        rows = np.tile(np.arange(h.size), 2)
+        cols = np.concatenate([self.el_left, self.el_right])
+        keep = cols < self.ndof
+        P = sp.csr_matrix(
+            (np.full(int(keep.sum()), 0.5), (rows[keep], cols[keep])),
+            shape=(h.size, self.ndof),
+        )
+        # P.T is a CSC view on P's arrays, kept so that no product pays for a
+        # fresh transpose.  Simpson's end weights h/6 collect on the nodes
+        # (not lumped/3: the lumped mass drops the coupling to a fixed zero).
+        self._simpson = (P, P.T, self.scatter(h / 6.0, h / 6.0), 2.0 * h / 3.0)
 
     @property
     def mass_matrix(self) -> sp.csr_matrix:
@@ -127,6 +137,15 @@ class Mesh:
         if self._lumped is None:
             self._assemble()
         return self._lumped
+
+    @property
+    def simpson_rule(self) -> tuple:
+        """Element Simpson rule as ``(P, P.T, node_w, mid_w)``: ``P`` maps
+        nodal values to element midpoint values, and the integral of f is
+        ``node_w @ f(v) + mid_w @ f(P @ v)``."""
+        if self._simpson is None:
+            self._assemble()
+        return self._simpson
 
 
 def build_mesh(

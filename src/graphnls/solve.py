@@ -534,10 +534,13 @@ def minimize_on_edge(
     eps = 0.1
     best = None
     for attempt in range(4):
+        fallback = False
         try:
             u0 = compact_competitor(model, mu, eps, mesh, edge_id, terminal=terminal)
         except SolitonError:
-            # mass below the fitting threshold: fall back to a hat on the edge
+            # mass below the fitting threshold: fall back to a hat on the edge,
+            # which does not depend on eps, so a second attempt would repeat it
+            fallback = True
             em = mesh.edge_mesh(edge_id)
             length = em.coords[-1]
             from .mesh import place_profile
@@ -551,7 +554,7 @@ def minimize_on_edge(
             mesh, u0, mu, p, cfg, monitor_edge=edge_id
         )
         best = (u, lam, res, iters, converged, left)
-        if not left:
+        if not left or fallback:
             break
         eps *= 0.5
     u, lam, res, iters, converged, left = best

@@ -188,3 +188,27 @@ def test_evolve_subcommand(tmp_path):
     doc = read_json(out)
     assert doc["stability"]["epsilon"] == 0.01
     assert max(doc["stability"]["orbital_distances"]) < 0.1
+    assert doc["stability"]["sweeps"] >= 20
+    assert doc["stability"]["sweeps_max"] >= 1
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--dt", "nan"],
+        ["--dt=-inf"],
+        ["--t-final", "inf"],
+        ["--epsilon", "nan"],
+        ["--stride", "0"],
+        ["--stride", "two"],
+    ],
+)
+def test_evolve_rejects_bad_step_flags_before_solving(monkeypatch, capsys, flag):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a usage error")
+
+    monkeypatch.setattr("graphnls.cli.minimize_on_edge", no_solve)
+    argv = ["evolve", "--graph", "double-bridge", "--edge", "e", "--mass", "8"] + flag
+    assert run(argv) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("usage error:") and "\n" not in err

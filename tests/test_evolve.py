@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from graphnls import functional as fn
 from graphnls.evolve import (
@@ -34,6 +37,8 @@ def test_standing_wave_stays_on_orbit(bound_state):
     res = evolve(u0, 4.0, t_final=0.5, dt=0.005, fp_tol=1e-12)
     ref = GraphFunction(u0.mesh, u0.values.astype(complex))
     assert orbital_distance(res.final, ref) < 1e-4
+    # the extrapolated start leaves fewer than 5 sweeps per step
+    assert res.sweeps_total < 5 * 100
 
 
 def test_phase_commutation(bound_state):
@@ -58,6 +63,39 @@ def test_time_reversal(bound_state):
     assert np.max(np.abs(np.conj(back.final.values) - a.values)) < 1e-10
 
 
+def plain_fixed_point(u0, p, t_final, dt, fp_tol):
+    """The Crank-Nicolson fixed point started from the previous state."""
+    mesh = u0.mesh
+    M, K = mesh.mass_matrix, mesh.stiffness_matrix
+    solver = splu(((1j / dt) * M - 0.5 * K).tocsc())
+    B = (1j / dt) * M + 0.5 * K
+    u = u0.values.astype(complex)
+    scale0 = float(np.max(np.abs(u)))
+    for _ in range(int(round(t_final / dt))):
+        c = B @ u
+        un = u.copy()
+        for _ in range(50):
+            mid = GraphFunction(mesh, 0.5 * (u + un))
+            un_next = solver.solve(c - fn.nonlinear_term(mid, p))
+            delta = float(np.max(np.abs(un_next - un)))
+            un = un_next
+            if delta <= fp_tol * scale0:
+                break
+        else:
+            raise AssertionError("reference fixed point stalled")
+        u = un
+    return u
+
+
+def test_extrapolated_start_reaches_the_same_state(bound_state):
+    u0 = bound_state.minimizer
+    mesh = u0.mesh
+    start = GraphFunction(mesh, u0.values + 0.05 * smoothed_perturbation(mesh, seed=1))
+    res = evolve(start, 4.0, t_final=0.5, dt=0.005)
+    ref = plain_fixed_point(start, 4.0, t_final=0.5, dt=0.005, fp_tol=1e-10)
+    assert np.max(np.abs(res.final.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
 def test_zero_initial_data_stays_zero(bound_state):
     mesh = bound_state.minimizer.mesh
     z = zero_function(mesh, complex_valued=True)
@@ -71,6 +109,31 @@ def test_evolve_rejects_bad_steps(bound_state):
         evolve(u0, 4.0, t_final=1.0, dt=0.0)
     with pytest.raises(EvolveError):
         evolve(u0, 4.0, t_final=-1.0, dt=0.1)
+    for t_final, dt in ((1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1.0, math.inf)):
+        with pytest.raises(EvolveError):
+            evolve(u0, 4.0, t_final=t_final, dt=dt)
+    with pytest.raises(EvolveError):
+        evolve(u0, 4.0, t_final=0.1, dt=0.01, max_sweeps=0)
+    bad = GraphFunction(u0.mesh, u0.values.copy())
+    bad.values[3] = math.nan
+    with pytest.raises(EvolveError, match="non-finite"):
+        evolve(bad, 4.0, t_final=0.1, dt=0.01)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dt": math.nan},
+        {"t_final": math.inf},
+        {"stride": 0},
+        {"epsilon": math.nan},
+        {"epsilon": math.inf},
+    ],
+)
+def test_stability_probe_rejects_bad_input(bound_state, kwargs):
+    args = {"epsilon": 1e-2, "t_final": 0.1, "dt": 0.01, "stride": 1, **kwargs}
+    with pytest.raises(EvolveError):
+        stability_probe(bound_state, **args)
 
 
 def test_orbital_distance_phase_invariant(bound_state):
@@ -85,6 +148,49 @@ def test_orbital_distance_phase_invariant(bound_state):
     # and detects a genuine difference
     c = GraphFunction(mesh, a.values + 0.05 * np.max(np.abs(a.values)))
     assert orbital_distance(a, c) > 1e-3
+
+
+def test_orbital_distance_of_a_rotated_copy_vanishes(bound_state):
+    a = GraphFunction(bound_state.minimizer.mesh, bound_state.minimizer.values.astype(complex))
+    for theta in (0.3, 2.0, -1.2, math.pi):
+        b = GraphFunction(a.mesh, np.exp(1j * theta) * a.values)
+        assert orbital_distance(a, b) < 1e-10
+
+
+def random_complex(mesh, rng):
+    return rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof)
+
+
+def h1_inner(mesh, a, b):
+    return np.vdot(a, (mesh.stiffness_matrix + mesh.mass_matrix) @ b)
+
+
+def test_orbital_distance_matches_a_dense_phase_scan(bound_state):
+    mesh = bound_state.minimizer.mesh
+    rng = np.random.default_rng(7)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 20000, endpoint=False)
+    for _ in range(20):
+        u = random_complex(mesh, rng)
+        # part of v lies on the orbit of u, so the best phase matters
+        v = 0.3 * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)) * u + random_complex(mesh, rng)
+        a = h1_inner(mesh, u, u).real
+        b = h1_inner(mesh, v, v).real
+        z = h1_inner(mesh, v, u)
+        scan = math.sqrt(np.min(a + b - 2.0 * np.real(np.exp(1j * thetas) * z)))
+        got = orbital_distance(GraphFunction(mesh, u), GraphFunction(mesh, v))
+        assert got == pytest.approx(scan, rel=1e-8)
+
+
+def test_orbital_distance_of_orthogonal_functions(bound_state):
+    mesh = bound_state.minimizer.mesh
+    rng = np.random.default_rng(11)
+    u = random_complex(mesh, rng)
+    v = random_complex(mesh, rng)
+    v -= h1_inner(mesh, u, v) / h1_inner(mesh, u, u) * u
+    a = h1_inner(mesh, u, u).real
+    b = h1_inner(mesh, v, v).real
+    got = orbital_distance(GraphFunction(mesh, u), GraphFunction(mesh, v))
+    assert got == pytest.approx(math.sqrt(a + b), rel=1e-12)
 
 
 def test_smoothed_perturbation_unit_h1(bound_state):
@@ -106,3 +212,4 @@ def test_stability_probe_small_perturbation(bound_state):
     doc = probe.to_dict()
     assert doc["epsilon"] == 1e-2
     assert len(doc["orbital_distances"]) == len(doc["times"])
+    assert 100 <= doc["sweeps"] <= 100 * doc["sweeps_max"]

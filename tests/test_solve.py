@@ -125,6 +125,45 @@ def test_minimize_on_edge_below_threshold_escapes_without_converging():
     assert rep.mass_loss > 0.05 * mu
 
 
+def _descents_that_leave(monkeypatch):
+    """Make every descent report that its argmax left the edge; record the
+    start of each call and the eps of each competitor request."""
+    starts, eps_seen = [], []
+
+    def leaving_descent(mesh, u0, mu, p, cfg, monitor_edge=None):
+        starts.append(u0.values.copy())
+        return project_mass(u0, mu), 1.0, 1.0, 0, False, True
+
+    def spy_competitor(model, mu, eps, *args, **kwargs):
+        eps_seen.append(eps)
+        return solve_module.compact_competitor.__wrapped__(model, mu, eps, *args, **kwargs)
+
+    spy_competitor.__wrapped__ = solve_module.compact_competitor
+    monkeypatch.setattr(solve_module, "_descend", leaving_descent)
+    monkeypatch.setattr(solve_module, "compact_competitor", spy_competitor)
+    return starts, eps_seen
+
+
+def test_minimize_on_edge_tries_the_fallback_hat_once(monkeypatch):
+    # below the fitting threshold every attempt would rebuild the same
+    # eps-independent hat, so one descent is enough
+    starts, eps_seen = _descents_that_leave(monkeypatch)
+    minimize_on_edge(double_bridge_graph(0.3), "e", 0.5, 4.0, CFG)
+    assert eps_seen == [0.1]
+    assert len(starts) == 1
+
+
+def test_minimize_on_edge_restarts_narrower_competitors(monkeypatch):
+    # at mass 100 the competitors for eps = 0.1, 0.05 and 0.025 fit on the
+    # edge of length 0.3; the fourth attempt falls back to the hat
+    starts, eps_seen = _descents_that_leave(monkeypatch)
+    minimize_on_edge(double_bridge_graph(0.3), "e", 100.0, 4.0, CFG)
+    assert eps_seen == [0.1, 0.05, 0.025, 0.0125]
+    assert len(starts) == 4
+    for a, b in zip(starts, starts[1:]):
+        assert not np.array_equal(a, b)
+
+
 def test_minimize_on_edge_rejects_halfline():
     with pytest.raises(SolveError):
         minimize_on_edge(star_graph(3), "h1", 1.0, 4.0, CFG)
