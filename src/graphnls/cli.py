@@ -40,7 +40,7 @@ from .solve import (
     scan_mass_threshold,
 )
 from .verify import certify
-from .evolve import EvolveError, stability_probe
+from .evolve import EvolveError, check_time_grid, stability_probe
 
 _BUILTIN = {
     "line": lambda: line_graph(),
@@ -247,6 +247,10 @@ def _cmd_verify(args, argv, t0) -> int:
 def _cmd_evolve(args, argv, t0) -> int:
     g = _resolve_graph(args.graph)
     g.edge(args.edge)
+    try:
+        check_time_grid(args.t_final, args.dt)
+    except EvolveError as exc:
+        raise _UsageError(str(exc))
     report = minimize_on_edge(g, args.edge, args.mass, args.p, _config(args))
     probe = stability_probe(
         report, args.epsilon, args.t_final, args.dt, seed=args.seed, stride=args.stride

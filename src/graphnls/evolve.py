@@ -23,6 +23,11 @@ from scipy.sparse.linalg import splu
 from . import functional as fn
 from .mesh import GraphFunction, Mesh
 
+# most Crank-Nicolson steps one run may take: the histories are allocated
+# up front, so a larger t_final / dt fails to allocate or never finishes
+MAX_STEPS = 10**7
+
+
 class EvolveError(RuntimeError):
     """Raised when a time step fails to converge or the state blows up."""
 
@@ -45,6 +50,17 @@ class EvolveResult:
         return float(np.max(np.abs(self.energy_history - self.energy_history[0])))
 
 
+def check_time_grid(t_final: float, dt: float) -> None:
+    """Raise EvolveError unless 0 < dt <= t_final, both finite, and the run
+    takes at most MAX_STEPS steps."""
+    if not (math.isfinite(t_final) and 0 < dt <= t_final):
+        raise EvolveError("need finite 0 < dt <= t_final")
+    if t_final / dt > MAX_STEPS:
+        raise EvolveError(
+            f"t_final / dt = {t_final / dt:.3g} exceeds the limit of {MAX_STEPS} steps"
+        )
+
+
 def evolve(
     u0: GraphFunction,
     p: float,
@@ -55,8 +71,7 @@ def evolve(
     callback: Optional[Callable[[float, GraphFunction], None]] = None,
 ) -> EvolveResult:
     """March the Crank-Nicolson flow from 0 to ``t_final`` in steps of ``dt``."""
-    if not (math.isfinite(t_final) and 0 < dt <= t_final):
-        raise EvolveError("need finite 0 < dt <= t_final")
+    check_time_grid(t_final, dt)
     if max_sweeps < 1:
         raise EvolveError("need max_sweeps >= 1")
     if not np.all(np.isfinite(u0.values)):

@@ -230,13 +230,22 @@ def preimage_count(u: GraphFunction, levels) -> tuple[list[int], int]:
 
     a, b = u.mesh.element_values(vals)
     los, his = np.minimum(a, b), np.maximum(a, b)
+    sorted_lo, sorted_hi = np.sort(los), np.sort(his)
+    flat = np.sort(los[los == his])
 
-    def count(t: float) -> int:
-        strict = int(np.sum((los < t) & (t < his)))
-        plateaus = int(np.sum((los == t) & (his == t)))
-        return strict + 2 * plateaus
+    def crossings(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per level: the elements with lo < t < hi, and those flat at t.
+        As lo <= hi, #(lo < t < hi) = #(lo < t) - #(hi <= t) + #(lo = hi = t)."""
+        flat_at = np.searchsorted(flat, t, "right") - np.searchsorted(flat, t, "left")
+        strict = (
+            np.searchsorted(sorted_lo, t, "left")
+            - np.searchsorted(sorted_hi, t, "right")
+            + flat_at
+        )
+        return strict, flat_at
 
-    counts = [count(t) for t in levels]
+    strict, plateaus = crossings(np.asarray(levels, dtype=float))
+    counts = [int(c) for c in strict + 2 * plateaus]
 
     nodal = np.unique(vals)
     nodal = nodal[(nodal > 0.0) & (nodal <= np.max(vals))]
@@ -246,8 +255,7 @@ def preimage_count(u: GraphFunction, levels) -> tuple[list[int], int]:
     if mids.size == 0:
         essential = counts[0] if counts else 0
     else:
-        cnt = np.sum((los[:, None] < mids[None, :]) & (mids[None, :] < his[:, None]), axis=0)
-        essential = int(np.min(cnt))
+        essential = int(np.min(crossings(mids)[0]))
     return counts, essential
 
 

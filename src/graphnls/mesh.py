@@ -57,6 +57,11 @@ class Mesh:
     el_left: np.ndarray = field(init=False, repr=False)
     el_right: np.ndarray = field(init=False, repr=False)
     el_h: np.ndarray = field(init=False, repr=False)
+    # node table: the dof, edge index and coordinate of every node of every
+    # edge, in edge order (vertex dofs appear once per incident edge end)
+    node_dof: np.ndarray = field(init=False, repr=False)
+    node_edge: np.ndarray = field(init=False, repr=False)
+    node_x: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.el_left = np.concatenate([em.dofs[:-1] for em in self.edge_meshes])
@@ -64,6 +69,11 @@ class Mesh:
         self.el_h = np.concatenate(
             [np.full(em.dofs.size - 1, em.spacing) for em in self.edge_meshes]
         )
+        self.node_dof = np.concatenate([em.dofs for em in self.edge_meshes])
+        self.node_edge = np.concatenate(
+            [np.full(em.dofs.size, i) for i, em in enumerate(self.edge_meshes)]
+        )
+        self.node_x = np.concatenate([em.coords for em in self.edge_meshes])
 
     def edge_mesh(self, edge_id: str) -> EdgeMesh:
         for em in self.edge_meshes:
@@ -302,14 +312,13 @@ def place_profile(
 def argmax(u: GraphFunction) -> tuple[str, float, float]:
     """Location of the maximum of |u|: (edge id, coordinate, value).
 
-    Ties break by edge input order, then by smallest coordinate.
+    Ties break by edge input order, then by smallest coordinate (the first
+    maximum of the node table).
     """
-    best = None
-    for em in u.mesh.edge_meshes:
-        vals = np.abs(u.edge_values(em.edge_id))
-        k = int(np.argmax(vals))
-        if best is None or vals[k] > best[2]:
-            best = (em.edge_id, float(em.coords[k]), float(vals[k]))
-    if best is None or best[2] == 0.0:
+    mesh = u.mesh
+    vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
+    k = int(np.argmax(vals))
+    if vals[k] == 0.0:
         raise MeshError("argmax of the zero function is undefined")
-    return best
+    em = mesh.edge_meshes[mesh.node_edge[k]]
+    return em.edge_id, float(mesh.node_x[k]), float(vals[k])

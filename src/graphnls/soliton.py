@@ -203,6 +203,35 @@ def _truncated_profile(model: SolitonModel, mu: float, cut: float, half: bool):
     return profile, x_c, energy, lam
 
 
+@lru_cache(maxsize=None)
+def _cut_fraction(p: float, eps: float) -> float:
+    """Truncation level over the peak of the competitor for eps: 0.95 times
+    the level at which the truncated, renormalized soliton meets the energy
+    target -(1 - eps) theta_p mu^(2 beta + 1), a margin strictly below it.
+
+    Under y = B x every integral of ``_truncated_profile`` depends only on p
+    and cut / peak, and the energy scales as mu^(2 beta + 1) like the
+    target, so the fraction is free of the mass.  The half-soliton of mass
+    2 mu is the full one reflected onto the halfline, so the terminal
+    variant shares it.  Found once, at unit mass.
+    """
+    model = make_model(p)
+    target = (1.0 - eps) * energy_levels(model, 1.0)[0]
+    peak = soliton_profile(model, 1.0)[3]
+
+    def gap(cut):
+        return _truncated_profile(model, 1.0, cut, False)[2] - target
+
+    lo, hi = 1e-9 * peak, (1.0 - 1e-9) * peak
+    if gap(lo) > 0:
+        raise SolitonError("competitor energy target unreachable; eps too small")
+    if gap(hi) < 0:
+        cut = hi
+    else:
+        cut = brentq(gap, lo, hi, xtol=1e-12 * peak)
+    return 0.95 * cut / peak
+
+
 def compact_competitor(
     model: SolitonModel,
     mu: float,
@@ -226,23 +255,11 @@ def compact_competitor(
         raise SolitonError(f"edge {edge_id!r} is a halfline; competitors need a bounded edge")
     length = em.coords[-1]
 
-    line, half_level = energy_levels(model, mu)
-    target = (1.0 - eps) * (half_level if terminal else line)
     base_mass = 2.0 * mu if terminal else mu
-    peak = soliton_profile(model, base_mass)[3]
-
-    def gap(cut):
-        return _truncated_profile(model, mu, cut, terminal)[2] - target
-
-    lo, hi = 1e-9 * peak, (1.0 - 1e-9) * peak
-    if gap(lo) > 0:
-        raise SolitonError("competitor energy target unreachable; eps too small")
-    if gap(hi) < 0:
-        cut = hi
-    else:
-        cut = brentq(gap, lo, hi, xtol=1e-12 * peak)
-    cut *= 0.95  # safety margin: strictly below the energy target
-    profile, x_c, energy, lam = _truncated_profile(model, mu, cut, terminal)
+    _, _, lam, peak = soliton_profile(model, base_mass)
+    frac = _cut_fraction(model.p, eps)
+    B = math.sqrt(lam) / model.q
+    x_c = math.acosh(frac ** (-1.0 / model.q)) / B  # closed form: no quadrature
 
     needed = x_c if terminal else 2.0 * x_c
     if needed > length + 1e-12:
@@ -250,6 +267,7 @@ def compact_competitor(
             f"mass {mu} below the fitting threshold for edge {edge_id!r}: "
             f"support {needed:.4g} exceeds length {length:.4g}"
         )
+    profile, x_c, _, _ = _truncated_profile(model, mu, frac * peak, terminal)
 
     # place, then renormalize the *discrete* mass exactly
     e = mesh.graph.edge(edge_id)

@@ -617,8 +617,11 @@ def ground_state(
 ) -> SolveReport:
     """Best-of search for a mass-mu ground state: constrained solves on all
     bounded edges plus unconstrained descents from random and half-soliton
-    starts.  The returned energy is checked against the universal line /
-    halfline sandwich (broadened by tolerance)."""
+    starts.  Candidates within a relative 1e-12 of the lowest energy tie,
+    and the first of them in that order wins, so that mirror-image
+    candidates do not swap on roundoff.  The returned energy is
+    checked against the universal line / halfline sandwich (broadened by
+    tolerance)."""
     model = make_model(p)
     mesh = _resolve_mesh(g, cfg, model, mu)
     candidates: list[SolveReport] = []
@@ -642,7 +645,8 @@ def ground_state(
     converged = [r for r in candidates if r.converged]
     if not converged:
         raise SolveError("no descent run converged")
-    best = min(converged, key=lambda r: r.energy.total)
+    e_min = min(r.energy.total for r in converged)
+    best = next(r for r in converged if r.energy.total <= e_min + 1e-12 * abs(e_min))
 
     line_level, half_level = energy_levels(model, mu)
     tol = 1e-3 * abs(line_level) + 1e-12

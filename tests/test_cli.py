@@ -201,6 +201,10 @@ def test_evolve_subcommand(tmp_path):
         ["--epsilon", "nan"],
         ["--stride", "0"],
         ["--stride", "two"],
+        ["--t-final", "1e300"],
+        ["--dt", "1e-300"],
+        ["--dt", "0"],
+        ["--t-final", "-1"],
     ],
 )
 def test_evolve_rejects_bad_step_flags_before_solving(monkeypatch, capsys, flag):

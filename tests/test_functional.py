@@ -152,6 +152,43 @@ def test_preimage_count_essential():
     assert essential >= 2
 
 
+def _preimage_count_dense(u, levels):
+    """Reference: elements x levels boolean tables, as the counts were first
+    written."""
+    vals = np.real(u.values)
+    a, b = u.mesh.element_values(vals)
+    los, his = np.minimum(a, b), np.maximum(a, b)
+    counts = [
+        int(np.sum((los < t) & (t < his))) + 2 * int(np.sum((los == t) & (his == t)))
+        for t in levels
+    ]
+    nodal = np.unique(vals)
+    nodal = nodal[(nodal > 0.0) & (nodal <= np.max(vals))]
+    grid = np.concatenate([[0.0], nodal])
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    mids = mids[(mids > 0.0) & (mids < np.max(vals))]
+    if mids.size == 0:
+        return counts, counts[0] if counts else 0
+    cnt = np.sum((los[:, None] < mids[None, :]) & (mids[None, :] < his[:, None]), axis=0)
+    return counts, int(np.min(cnt))
+
+
+def test_preimage_count_matches_dense_tables():
+    mesh = build_mesh(star_graph(3), h=0.05, trunc=6.0)
+    bump = lambda c, a: (lambda x: a * np.exp(-4.0 * (x - c) ** 2))
+    u = interpolate(mesh, {"h1": bump(2.0, 1.0), "h2": bump(3.0, 0.7), "h3": bump(1.5, 0.4)})
+    levels = [0.05, 0.2, 0.4, 0.55, 0.7, 0.95, float(u.values[10])]
+    assert fn.preimage_count(u, levels) == _preimage_count_dense(u, levels)
+    # plateaus: rounding to a coarse grid of levels makes flat runs, and the
+    # queried levels sit exactly on them
+    v = zero_function(mesh)
+    v.values = np.round(u.values * 8.0) / 8.0
+    levels = [0.125, 0.25, 0.375, 0.5, 0.3, 0.875]
+    counts, essential = fn.preimage_count(v, levels)
+    assert (counts, essential) == _preimage_count_dense(v, levels)
+    assert counts[0] > 6  # plateaus count by their endpoints
+
+
 def test_ge3_bound_values():
     # bound -theta (2/N)^(2 beta) nu^(2 beta + 1): N = 1 recovers the
     # halfline level, N = 2 the line level, larger N pushes the level up

@@ -5,6 +5,7 @@ from graphnls.graphs import (
     Edge,
     MetricGraph,
     double_bridge_graph,
+    example_graph,
     halfline_graph,
     line_graph,
     star_graph,
@@ -115,6 +116,45 @@ def test_argmax_tie_break_is_input_order():
     u.values[:] = 1.0
     eid, _, _ = argmax(u)
     assert eid == "h1"
+
+
+def _argmax_per_edge(u):
+    """Reference: scan the edges in input order, keep a strictly larger
+    maximum, take the first maximum within an edge."""
+    best = None
+    for em in u.mesh.edge_meshes:
+        vals = np.abs(u.edge_values(em.edge_id))
+        k = int(np.argmax(vals))
+        if best is None or vals[k] > best[2]:
+            best = (em.edge_id, float(em.coords[k]), float(vals[k]))
+    return best
+
+
+@pytest.mark.parametrize(
+    "graph", [example_graph(1), double_bridge_graph(0.3)], ids=["example1", "double-bridge"]
+)
+def test_argmax_matches_per_edge_scan(graph):
+    # example 1 has a self-loop; the double bridge has halfline fixed zeros
+    mesh = build_mesh(graph, h=0.05, trunc=2.0)
+    rng = np.random.default_rng(3)
+    states = []
+    for _ in range(50):
+        v = np.zeros(mesh.ndof)
+        idx = rng.choice(mesh.ndof, size=5, replace=False)
+        v[idx] = rng.integers(1, 4, size=5)  # small integers: many ties
+        states.append(v)
+    states.append(np.ones(mesh.ndof))
+    states.append(-np.ones(mesh.ndof))
+    vertex_only = np.zeros(mesh.ndof)
+    vertex_only[mesh.vertex_dofs] = 2.0  # ties at the shared vertex dofs
+    states.append(vertex_only)
+    states.append(rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof))
+    for v in states:
+        u = zero_function(mesh, complex_valued=np.iscomplexobj(v))
+        u.values[:] = v
+        assert argmax(u) == _argmax_per_edge(u)
+    with pytest.raises(MeshError):
+        argmax(zero_function(mesh))
 
 
 def test_graph_function_to_dict_roundtrips_values():

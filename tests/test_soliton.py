@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from graphnls import soliton
 from graphnls.functional import energy, mass
-from graphnls.graphs import double_bridge_graph, example_graph
+from graphnls.graphs import classify_edges, double_bridge_graph, example_graph
 from graphnls.mesh import argmax, build_mesh
 from graphnls.soliton import (
     SolitonError,
+    _cut_fraction,
+    _truncated_profile,
     compact_competitor,
     energy_levels,
     gn_sharp_constant,
@@ -127,3 +131,61 @@ def test_compact_competitor_rejects_halfline():
     mesh = build_mesh(g, h=0.02, trunc=5.0)
     with pytest.raises(SolitonError):
         compact_competitor(make_model(4.0), 10.0, 0.1, mesh, "h1")
+
+
+def _cut_fraction_at_mass(model, mu, eps, terminal):
+    """Reference: the truncation level over the peak found at the given
+    mass, with the 0.95 safety margin, as each competitor call once did."""
+    line, half = energy_levels(model, mu)
+    target = (1.0 - eps) * (half if terminal else line)
+    peak = soliton_profile(model, 2.0 * mu if terminal else mu)[3]
+
+    def gap(cut):
+        return _truncated_profile(model, mu, cut, terminal)[2] - target
+
+    cut = brentq(gap, 1e-9 * peak, (1.0 - 1e-9) * peak, xtol=1e-12 * peak)
+    return 0.95 * cut / peak
+
+
+@pytest.mark.parametrize("p", [2.5, 4.0, 5.0])
+def test_cut_fraction_is_free_of_the_mass(p):
+    model = make_model(p)
+    frac = _cut_fraction(p, 0.1)
+    for mu in (0.1, 1.0, 10.0, 50.0):
+        for terminal in (False, True):
+            ref = _cut_fraction_at_mass(model, mu, 0.1, terminal)
+            assert frac == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_competitor_fit_check_runs_no_quadrature(monkeypatch):
+    g = double_bridge_graph(0.3)
+    mesh = build_mesh(g, h=0.01, trunc=5.0)
+    model = make_model(4.0)
+    _cut_fraction(4.0, 0.1)  # warm the cache
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quadrature ran before the fit check")
+
+    monkeypatch.setattr(soliton, "quad", no_quad)
+    with pytest.raises(SolitonError, match="fitting threshold"):
+        compact_competitor(model, 0.1, 0.1, mesh, "e")
+
+
+def test_catalogue_competitors_beat_their_targets():
+    # every bounded edge of Example 1 at the catalogue's mass 50 and h = 0.02
+    g = example_graph(1)
+    mesh = build_mesh(g, h=0.02, trunc=2.0)
+    model = make_model(4.0)
+    mu, eps = 50.0, 0.1
+    line, half = energy_levels(model, mu)
+    for e in g.bounded_edges:
+        u = compact_competitor(model, mu, eps, mesh, e.id)
+        assert mass(u) == pytest.approx(mu, rel=1e-12)
+        assert energy(u, 4.0).total <= (1.0 - eps) * line
+    # the terminal edge f of Example 2 takes the half-soliton of mass 100,
+    # which is half as wide and needs h = 0.01 to resolve it
+    g = example_graph(2)
+    assert classify_edges(g).by_edge["f"].role == "terminal"
+    mesh = build_mesh(g, h=0.01, trunc=2.0)
+    u = compact_competitor(model, mu, eps, mesh, "f", terminal=True)
+    assert energy(u, 4.0).total <= (1.0 - eps) * half

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -312,6 +314,31 @@ def test_ground_state_line_matches_soliton():
     line, half = energy_levels(make_model(4.0), 2.0)
     assert rep.energy.total == pytest.approx(line, rel=1e-3)
     assert half - 1e-9 <= rep.energy.total
+
+
+@pytest.mark.parametrize("gap, expected", [(1e-15, "e"), (1e-9, "f")])
+def test_ground_state_ties_go_to_the_first_candidate(monkeypatch, gap, expected):
+    # edge f sits below edge e by a relative gap: within roundoff (1e-15)
+    # the first candidate in search order wins, beyond it the minimum does
+    energies = {"e": -100.0, "f": -100.0 * (1.0 + gap), "g": -50.0}
+    assert energies["f"] < energies["e"]
+
+    def stub_solve(g, edge_id, mu, p, cfg, mesh=None):
+        return SimpleNamespace(
+            edge=edge_id,
+            converged=True,
+            energy=SimpleNamespace(total=energies[edge_id]),
+            ground_claim=False,
+        )
+
+    def no_descent(*args, **kwargs):
+        raise SolveError("free descents are not part of this test")
+
+    monkeypatch.setattr(solve_module, "minimize_on_edge", stub_solve)
+    monkeypatch.setattr(solve_module, "_descend", no_descent)
+    rep = ground_state(example_graph(4), 10.0, 4.0, SolveConfig(h=0.05, truncation=2.0))
+    assert rep.edge == expected
+    assert rep.ground_claim
 
 
 def test_scan_mass_threshold_transitions():
