@@ -12,21 +12,23 @@ import argparse
 import csv
 import json
 import math
+import platform
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .graphs import (
     GraphError,
     MetricGraph,
-    classify_edges,
     double_bridge_graph,
     example_graph,
     halfline_graph,
     line_graph,
     load_graph,
-    normalize,
     star_graph,
 )
 from .mesh import MeshError
@@ -79,6 +81,9 @@ def _manifest(argv, args, t0) -> dict:
         "command": " ".join(argv),
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "wall_time": round(time.monotonic() - t0, 3),
     }
 
@@ -158,7 +163,7 @@ def _add_solver_flags(
     p.add_argument("--h", type=float, default=0.01)
     p.add_argument("--trunc", default="auto")
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=20000)
+    p.add_argument("--max-iter", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report destination (default stdout)")
     p.add_argument("--csv", default=None, help="write per-edge (x, u) series here")
@@ -203,7 +208,7 @@ def _cmd_ground(args, argv, t0) -> int:
 
 def _cmd_catalogue(args, argv, t0) -> int:
     g = _resolve_graph(args.graph)
-    reports = bound_state_catalogue(g, args.mass, args.p, _config(args), jobs=args.jobs)
+    reports = bound_state_catalogue(g, args.mass, args.p, _config(args))
     doc = {
         "entries": [r.to_dict(include_function=False) for r in reports],
         "manifest": _manifest(argv, args, t0),
@@ -219,7 +224,7 @@ def _cmd_scan(args, argv, t0) -> int:
         grid = [_mass(tok) for tok in args.masses.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"bad --masses list: {exc}")
-    report = scan_mass_threshold(g, args.edge, args.p, grid, _config(args), jobs=args.jobs)
+    report = scan_mass_threshold(g, args.edge, args.p, grid, _config(args))
     doc = report.to_dict()
     doc["manifest"] = _manifest(argv, args, t0)
     _emit(doc, args.out)
@@ -286,13 +291,11 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("catalogue", help="one bound state per bounded edge")
     _add_solver_flags(sp)
-    sp.add_argument("--jobs", type=int, default=1, help="accepted; runs serially")
     sp.set_defaults(func=_cmd_catalogue)
 
     sp = sub.add_parser("scan", help="mass-threshold scan on one edge")
     _add_solver_flags(sp, need_edge=True, need_mass=False)
     sp.add_argument("--masses", required=True, help="comma-separated increasing masses")
-    sp.add_argument("--jobs", type=int, default=1, help="accepted; runs serially")
     sp.set_defaults(func=_cmd_scan)
 
     sp = sub.add_parser("verify", help="solve on one edge and certify the result")

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 
 class GraphError(ValueError):

@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import GraphError, MetricGraph
+from .graphs import MetricGraph
 
 DEFAULT_TRUNCATION = 20.0
 
@@ -37,7 +37,8 @@ class EdgeMesh:
 
 @dataclass
 class Mesh:
-    """Glued per-edge grids with a global degree-of-freedom map."""
+    """Glued per-edge grids with a global degree-of-freedom map, assembled
+    when built."""
 
     graph: MetricGraph
     h: float
@@ -46,50 +47,60 @@ class Mesh:
     ndof: int
     truncation: float
 
-    _mass: Optional[sp.csr_matrix] = field(default=None, repr=False)
-    _stiffness: Optional[sp.csr_matrix] = field(default=None, repr=False)
-    _lumped: Optional[np.ndarray] = field(default=None, repr=False)
-    _simpson: Optional[tuple] = field(default=None, repr=False)
-
-    # element table: the left and right dof and the length of every element
-    # of every edge, in edge order; dof ndof is the fixed zero at a
-    # truncated halfline end
+    # element table: the left and right dof, the length, the edge index and
+    # the midpoint coordinate of every element of every edge, in edge order;
+    # dof ndof is the fixed zero at a truncated halfline end
     el_left: np.ndarray = field(init=False, repr=False)
     el_right: np.ndarray = field(init=False, repr=False)
     el_h: np.ndarray = field(init=False, repr=False)
+    el_edge: np.ndarray = field(init=False, repr=False)
+    el_mid: np.ndarray = field(init=False, repr=False)
     # node table: the dof, edge index and coordinate of every node of every
     # edge, in edge order (vertex dofs appear once per incident edge end)
     node_dof: np.ndarray = field(init=False, repr=False)
     node_edge: np.ndarray = field(init=False, repr=False)
     node_x: np.ndarray = field(init=False, repr=False)
+    # per edge index: whether the edge is a (truncated) halfline
+    edge_halfline: np.ndarray = field(init=False, repr=False)
+    vertex_dofs: np.ndarray = field(init=False, repr=False)      # sorted
+    interior_mask: np.ndarray = field(init=False, repr=False)    # not a vertex dof
+    mass_matrix: sp.csr_matrix = field(init=False, repr=False)
+    stiffness_matrix: sp.csr_matrix = field(init=False, repr=False)
+    lumped_mass: np.ndarray = field(init=False, repr=False)
+    # element Simpson rule as ``(P, P.T, node_w, mid_w)``: ``P`` maps nodal
+    # values to element midpoint values, and the integral of f is
+    # ``node_w @ f(v) + mid_w @ f(P @ v)``
+    simpson_rule: tuple = field(init=False, repr=False)
+    _edge_index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.el_left = np.concatenate([em.dofs[:-1] for em in self.edge_meshes])
-        self.el_right = np.concatenate([em.dofs[1:] for em in self.edge_meshes])
-        self.el_h = np.concatenate(
-            [np.full(em.dofs.size - 1, em.spacing) for em in self.edge_meshes]
-        )
-        self.node_dof = np.concatenate([em.dofs for em in self.edge_meshes])
-        self.node_edge = np.concatenate(
-            [np.full(em.dofs.size, i) for i, em in enumerate(self.edge_meshes)]
-        )
-        self.node_x = np.concatenate([em.coords for em in self.edge_meshes])
+        ems = self.edge_meshes
+        self.el_left = np.concatenate([em.dofs[:-1] for em in ems])
+        self.el_right = np.concatenate([em.dofs[1:] for em in ems])
+        self.el_h = np.concatenate([np.full(em.dofs.size - 1, em.spacing) for em in ems])
+        self.el_mid = np.concatenate([0.5 * (em.coords[:-1] + em.coords[1:]) for em in ems])
+        self.node_dof = np.concatenate([em.dofs for em in ems])
+        self.node_x = np.concatenate([em.coords for em in ems])
+        sizes = np.array([em.dofs.size for em in ems])
+        self.node_edge = np.repeat(np.arange(len(ems)), sizes)
+        self.el_edge = np.repeat(np.arange(len(ems)), sizes - 1)
+        self.edge_halfline = np.array([em.is_halfline for em in ems])
+        self._edge_index = {em.edge_id: i for i, em in enumerate(ems)}
+        self.vertex_dofs = np.array(sorted(self.vertex_dof.values()), dtype=int)
+        self.interior_mask = np.ones(self.ndof, dtype=bool)
+        self.interior_mask[self.vertex_dofs] = False
+        self._assemble()
+
+    def edge_index(self, edge_id: str) -> int:
+        """Position of the edge in ``edge_meshes``, as in ``node_edge`` and
+        ``el_edge``."""
+        try:
+            return self._edge_index[edge_id]
+        except KeyError:
+            raise MeshError(f"unknown edge {edge_id!r}") from None
 
     def edge_mesh(self, edge_id: str) -> EdgeMesh:
-        for em in self.edge_meshes:
-            if em.edge_id == edge_id:
-                return em
-        raise MeshError(f"unknown edge {edge_id!r}")
-
-    @property
-    def vertex_dofs(self) -> np.ndarray:
-        return np.array(sorted(self.vertex_dof.values()), dtype=int)
-
-    @property
-    def interior_mask(self) -> np.ndarray:
-        mask = np.ones(self.ndof, dtype=bool)
-        mask[self.vertex_dofs] = False
-        return mask
+        return self.edge_meshes[self.edge_index(edge_id)]
 
     def element_values(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodal values ``(a, b)`` at the left and right end of every element."""
@@ -115,9 +126,9 @@ class Mesh:
 
     def _assemble(self) -> None:
         h = self.el_h
-        self._mass = self.element_matrix(h / 3.0, h / 3.0, h / 6.0)
-        self._stiffness = self.element_matrix(1.0 / h, 1.0 / h, -1.0 / h)
-        self._lumped = np.asarray(self._mass.sum(axis=1)).ravel()
+        self.mass_matrix = self.element_matrix(h / 3.0, h / 3.0, h / 6.0)
+        self.stiffness_matrix = self.element_matrix(1.0 / h, 1.0 / h, -1.0 / h)
+        self.lumped_mass = np.asarray(self.mass_matrix.sum(axis=1)).ravel()
         rows = np.tile(np.arange(h.size), 2)
         cols = np.concatenate([self.el_left, self.el_right])
         keep = cols < self.ndof
@@ -128,34 +139,7 @@ class Mesh:
         # P.T is a CSC view on P's arrays, kept so that no product pays for a
         # fresh transpose.  Simpson's end weights h/6 collect on the nodes
         # (not lumped/3: the lumped mass drops the coupling to a fixed zero).
-        self._simpson = (P, P.T, self.scatter(h / 6.0, h / 6.0), 2.0 * h / 3.0)
-
-    @property
-    def mass_matrix(self) -> sp.csr_matrix:
-        if self._mass is None:
-            self._assemble()
-        return self._mass
-
-    @property
-    def stiffness_matrix(self) -> sp.csr_matrix:
-        if self._stiffness is None:
-            self._assemble()
-        return self._stiffness
-
-    @property
-    def lumped_mass(self) -> np.ndarray:
-        if self._lumped is None:
-            self._assemble()
-        return self._lumped
-
-    @property
-    def simpson_rule(self) -> tuple:
-        """Element Simpson rule as ``(P, P.T, node_w, mid_w)``: ``P`` maps
-        nodal values to element midpoint values, and the integral of f is
-        ``node_w @ f(v) + mid_w @ f(P @ v)``."""
-        if self._simpson is None:
-            self._assemble()
-        return self._simpson
+        self.simpson_rule = (P, P.T, self.scatter(h / 6.0, h / 6.0), 2.0 * h / 3.0)
 
 
 def build_mesh(

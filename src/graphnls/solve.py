@@ -26,11 +26,6 @@ from .soliton import SolitonError, SolitonModel, compact_competitor, energy_leve
 
 logger = logging.getLogger(__name__)
 
-# gradient-descent iterations before handing over to the Newton stage; the
-# Newton stage (with translation equilibration) finishes the job, so the
-# descent phase only needs to shape the iterate, not converge it
-PGD_PHASE_CAP = 400
-
 
 class SolveError(RuntimeError):
     """Raised on non-convergence or invalid solver requests."""
@@ -39,7 +34,10 @@ class SolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolveConfig:
     grad_tol: float = 1e-8
-    max_iter: int = 20000
+    # gradient-descent iterations before handing over to the Newton stage;
+    # the Newton stage (with translation equilibration) finishes the job, so
+    # the descent phase only needs to shape the iterate, not converge it
+    max_iter: int = 400
     h: float = 0.01
     truncation: Union[float, str] = "auto"
     seed: int = 0
@@ -123,19 +121,11 @@ def lagrange_multiplier(u: GraphFunction, p: float) -> float:
 def migrated_mass(u: GraphFunction) -> float:
     """Mass sitting beyond the midpoint of any truncated halfline: a
     diagnostic for runaway toward infinity."""
-    total = 0.0
-    for em in u.mesh.edge_meshes:
-        if not em.is_halfline:
-            continue
-        half = em.coords[-1] / 2.0
-        vals = np.real(u.edge_values(em.edge_id))
-        a, b = vals[:-1], vals[1:]
-        mids = 0.5 * (em.coords[:-1] + em.coords[1:])
-        sel = mids > half
-        total += em.spacing / 3.0 * float(
-            np.sum(a[sel] ** 2 + a[sel] * b[sel] + b[sel] ** 2)
-        )
-    return total
+    mesh = u.mesh
+    sel = mesh.edge_halfline[mesh.el_edge] & (mesh.el_mid > mesh.truncation / 2.0)
+    a, b = mesh.element_values(np.real(u.values))
+    a, b = a[sel], b[sel]
+    return float(np.sum(mesh.el_h[sel] / 3.0 * (a**2 + a * b + b**2)))
 
 
 def _weighted_residual_norm(r: np.ndarray, lumped: np.ndarray) -> float:
@@ -243,11 +233,8 @@ def _translation_pin_vector(mesh, edge_id, p, lam, c):
     from .soliton import _profile_callables
 
     _, df = _profile_callables(p, lam)
-    em = mesh.edge_mesh(edge_id)
-    buf = np.zeros(mesh.ndof + 1)
-    np.add.at(buf, em.dofs, df(em.coords - c))
-    buf[-1] = 0.0
-    return buf[:-1]
+    on = mesh.node_edge == mesh.edge_index(edge_id)
+    return np.bincount(mesh.node_dof[on], df(mesh.node_x[on] - c), mesh.ndof + 1)[:-1]
 
 
 def _pinned_newton(mesh, x0, lam, mu, p, w, tol, max_iter=30):
@@ -345,7 +332,7 @@ def _descend(
     iterations = 0
     abs_applied = False
 
-    for it in range(min(cfg.max_iter, PGD_PHASE_CAP)):
+    for it in range(cfg.max_iter):
         iterations = it + 1
         r, lam = residual(x)
         res = _weighted_residual_norm(r, lumped)
@@ -405,14 +392,14 @@ def _descend(
             x *= math.sqrt(mu / m)
 
     r, lam = residual(x)
-    xn, lamn, resn, ok = _newton_refine(mesh, x, lam, mu, p, tol)
+    xn, lamn, _, ok = _newton_refine(mesh, x, lam, mu, p, tol)
     if not ok:
         # sharp solitons on an edge carry a nearly flat translation
         # mode; equilibrate the peak position before the final polish
         top_edge = argmax(GraphFunction(mesh, x))[0]
         eq = _equilibrate_translation(mesh, x, lam, mu, p, top_edge, tol)
         if eq is not None:
-            xn, lamn, resn, ok = _newton_refine(mesh, eq[0], eq[1], mu, p, tol)
+            xn, lamn, _, ok = _newton_refine(mesh, eq[0], eq[1], mu, p, tol)
     if ok:
         # the far tails sit at float-noise scale where Newton may leave
         # tiny negative values; fold them back (energy and mass unchanged)
@@ -533,7 +520,7 @@ def minimize_on_edge(
 
     eps = 0.1
     best = None
-    for attempt in range(4):
+    for _ in range(4):
         fallback = False
         try:
             u0 = compact_competitor(model, mu, eps, mesh, edge_id, terminal=terminal)
@@ -569,8 +556,9 @@ def bound_state_catalogue(
     jobs: int = 1,
 ) -> list[SolveReport]:
     """One constrained minimization per bounded edge (k bound states for k
-    bounded edges at large mass).  ``jobs`` is accepted for compatibility;
-    the edges are solved serially."""
+    bounded edges at large mass).  ``jobs`` is accepted for callers that
+    still pass it (the benchmark does) and ignored: the edges are solved
+    serially."""
     edges = [e.id for e in g.bounded_edges]
     if not edges:
         raise SolveError("graph has no bounded edge")
@@ -598,7 +586,7 @@ def _random_starts(mesh: Mesh, seed: int, count: int = 2):
 def _halfline_starts(mesh: Mesh, model: SolitonModel, mu: float):
     from .soliton import soliton_profile
 
-    f, _, lam, _ = soliton_profile(model, 2.0 * mu)
+    f = soliton_profile(model, 2.0 * mu)[0]
     starts = []
     for em in mesh.edge_meshes:
         if not em.is_halfline:
@@ -635,7 +623,7 @@ def ground_state(
     starts = _halfline_starts(mesh, model, mu) + _random_starts(mesh, cfg.seed)
     for u0 in starts:
         try:
-            u, lam, res, iters, converged, left = _descend(mesh, u0, mu, p, cfg)
+            u, lam, _, iters, converged, left = _descend(mesh, u0, mu, p, cfg)
         except SolveError:
             continue
         candidates.append(
@@ -687,7 +675,8 @@ def scan_mass_threshold(
 ) -> ThresholdReport:
     """Empirical probe of the mass threshold: solve at each grid mass and
     record the first with an interior minimizer.  ``jobs`` is accepted for
-    compatibility; the masses are solved serially."""
+    callers that still pass it (the benchmark does) and ignored: the masses
+    are solved serially."""
     grid = list(mu_grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
         raise SolveError("mass grid must be nonempty and strictly increasing")

@@ -78,13 +78,9 @@ def localization_margin(u: GraphFunction, edge_id: str) -> float:
     Positive means the maximum is attained on the edge only: the
     localization constraint is inactive there."""
     mesh = u.mesh
-    on_edge = float(np.max(np.abs(u.edge_values(edge_id))))
-    off = 0.0
-    for em in mesh.edge_meshes:
-        if em.edge_id == edge_id:
-            continue
-        off = max(off, float(np.max(np.abs(u.edge_values(em.edge_id)))))
-    return on_edge - off
+    vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
+    on = mesh.node_edge == mesh.edge_index(edge_id)
+    return float(np.max(vals[on])) - float(np.max(vals[~on], initial=0.0))
 
 
 @dataclass
@@ -152,13 +148,10 @@ def certify(report, model: SolitonModel, rel_tol: float = 1e-3) -> VerificationR
     # threshold applies outside that artificial layer only
     lam = max(float(getattr(report, "lam", 1.0)), 1e-12)
     layer = 1.0 / math.sqrt(lam)
+    cut = mesh.truncation - min(layer, mesh.truncation / 2.0)
+    tail = mesh.edge_halfline[mesh.node_edge] & (mesh.node_x > cut) & (mesh.node_dof < mesh.ndof)
     mask = np.ones(mesh.ndof, dtype=bool)
-    for em in mesh.edge_meshes:
-        if not em.is_halfline:
-            continue
-        cut = em.coords[-1] - min(layer, em.coords[-1] / 2.0)
-        tail = em.dofs[(em.coords > cut) & (em.dofs < mesh.ndof)]
-        mask[tail] = False
+    mask[mesh.node_dof[tail]] = False
     positive = bool(np.all(vals[mask] > 1e-12 * peak) and np.all(vals[~mask] >= 0.0))
 
     line, half = energy_levels(model, mu)

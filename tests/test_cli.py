@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from graphnls.cli import _build_parser, run
@@ -61,6 +62,8 @@ def test_solve_report_and_csv(tmp_path):
     assert doc["edge"] == "e"
     assert doc["lambda"] > 0
     assert "manifest" in doc and "command" in doc["manifest"]
+    assert {"python", "numpy", "scipy"} <= set(doc["manifest"])
+    assert doc["manifest"]["numpy"] == np.__version__
     with open(series) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["edge", "x", "u"]
@@ -116,9 +119,10 @@ def test_scan_parser_defaults():
     assert args.masses == "0.5,50"
     assert not hasattr(args, "mass")
     assert (args.p, args.h, args.trunc, args.tol, args.max_iter, args.seed) == (
-        4.0, 0.01, "auto", 1e-8, 20000, 0
+        4.0, 0.01, "auto", 1e-8, 400, 0
     )
-    assert (args.jobs, args.out, args.csv) == (1, None, None)
+    assert not hasattr(args, "jobs")
+    assert (args.out, args.csv) == (None, None)
 
 
 def test_scan_bad_masses_is_usage_error():

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphnls.graphs import (
     Edge,
@@ -178,3 +181,51 @@ def test_fixture_shapes():
 def test_example_graph_bad_index():
     with pytest.raises(GraphError):
         example_graph(7)
+
+
+# Property tests: derandomized and small, so that they run the same
+# examples every time and stay fast.
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+@st.composite
+def graphs(draw):
+    """Connected noncompact graphs: a random spanning tree, extra bounded
+    edges (self-loops and multi-edges included) and at least one halfline,
+    in shuffled order."""
+    n = draw(st.integers(1, 5))
+    vertices = [f"v{i}" for i in range(n)]
+    length = st.floats(0.1, 10.0)
+    pairs = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    edges = [
+        Edge(f"e{k}", vertices[a], vertices[b], draw(length)) for k, (a, b) in enumerate(pairs)
+    ]
+    edges += [
+        Edge(f"h{k}", vertices[v])
+        for k, v in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)))
+    ]
+    return MetricGraph(vertices=tuple(vertices), edges=tuple(draw(st.permutations(edges))))
+
+
+@PROPERTY
+@given(st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan]))
+def test_edge_rejects_every_nonpositive_or_nonfinite_length(length):
+    with pytest.raises(GraphError, match="positive finite length"):
+        Edge("e", "a", "b", length)
+
+
+@PROPERTY
+@given(graphs())
+def test_load_graph_inverts_to_dict(g):
+    back = load_graph(g.to_dict())
+    assert (back.vertices, back.edges) == (g.vertices, g.edges)
+
+
+@PROPERTY
+@given(graphs())
+def test_normalize_properties(g):
+    gn = normalize(g)
+    assert normalize(gn) == gn
+    assert len(gn.halflines) == len(g.halflines)
+    assert all(gn.degree(v) != 2 or v in gn.flagged_vertices for v in gn.vertices)

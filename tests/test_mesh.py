@@ -1,6 +1,10 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from graphnls import functional as fn
 from graphnls.graphs import (
     Edge,
     MetricGraph,
@@ -11,6 +15,7 @@ from graphnls.graphs import (
     star_graph,
 )
 from graphnls.mesh import (
+    GraphFunction,
     MeshError,
     argmax,
     build_mesh,
@@ -18,6 +23,9 @@ from graphnls.mesh import (
     place_profile,
     zero_function,
 )
+from graphnls.soliton import _profile_callables, make_model
+from graphnls.solve import _translation_pin_vector, migrated_mass
+from graphnls.verify import certify, localization_margin
 
 
 def test_build_mesh_shapes():
@@ -155,6 +163,104 @@ def test_argmax_matches_per_edge_scan(graph):
         assert argmax(u) == _argmax_per_edge(u)
     with pytest.raises(MeshError):
         argmax(zero_function(mesh))
+
+
+def test_edge_index_follows_edge_meshes():
+    mesh = build_mesh(example_graph(1), h=0.05, trunc=2.0)
+    for i, em in enumerate(mesh.edge_meshes):
+        assert mesh.edge_index(em.edge_id) == i
+        assert mesh.edge_mesh(em.edge_id) is em
+        assert mesh.edge_halfline[i] == em.is_halfline
+        assert np.array_equal(mesh.node_x[mesh.node_edge == i], em.coords)
+        mids = 0.5 * (em.coords[:-1] + em.coords[1:])
+        assert np.array_equal(mesh.el_mid[mesh.el_edge == i], mids)
+    for lookup in (mesh.edge_mesh, mesh.edge_index):
+        with pytest.raises(MeshError, match="unknown edge"):
+            lookup("nope")
+
+
+# Per-edge reference loops for the reads that go through the node and
+# element tables.
+
+
+def _migrated_mass_per_edge(u):
+    total = 0.0
+    for em in u.mesh.edge_meshes:
+        if not em.is_halfline:
+            continue
+        vals = u.edge_values(em.edge_id)
+        a, b = vals[:-1], vals[1:]
+        sel = 0.5 * (em.coords[:-1] + em.coords[1:]) > em.coords[-1] / 2.0
+        total += em.spacing / 3.0 * float(np.sum(a[sel] ** 2 + a[sel] * b[sel] + b[sel] ** 2))
+    return total
+
+
+def _margin_per_edge(u, edge_id):
+    on = float(np.max(np.abs(u.edge_values(edge_id))))
+    off = 0.0
+    for em in u.mesh.edge_meshes:
+        if em.edge_id != edge_id:
+            off = max(off, float(np.max(np.abs(u.edge_values(em.edge_id)))))
+    return on - off
+
+
+def _positive_per_edge(u, lam):
+    mesh = u.mesh
+    layer = 1.0 / math.sqrt(lam)
+    mask = np.ones(mesh.ndof, dtype=bool)
+    for em in mesh.edge_meshes:
+        if em.is_halfline:
+            cut = em.coords[-1] - min(layer, em.coords[-1] / 2.0)
+            mask[em.dofs[(em.coords > cut) & (em.dofs < mesh.ndof)]] = False
+    v = u.values
+    return bool(np.all(v[mask] > 1e-12 * np.max(v)) and np.all(v[~mask] >= 0.0))
+
+
+def _pin_vector_per_edge(mesh, edge_id, p, lam, c):
+    _, df = _profile_callables(p, lam)
+    em = mesh.edge_mesh(edge_id)
+    buf = np.zeros(mesh.ndof + 1)
+    np.add.at(buf, em.dofs, df(em.coords - c))
+    return buf[:-1]
+
+
+@pytest.mark.parametrize(
+    "graph", [example_graph(1), double_bridge_graph(0.3)], ids=["example1", "double-bridge"]
+)
+def test_table_reads_match_per_edge_loops(graph):
+    # example 1 has a self-loop, whose vertex dof the pin vector sums twice,
+    # and bounded edges longer than half the truncation; the double bridge
+    # has four truncated halflines
+    mesh = build_mesh(graph, h=0.05, trunc=1.0)
+    model = make_model(4.0)
+    halfline_dofs = np.concatenate(
+        [em.dofs[1:-1] for em in mesh.edge_meshes if em.is_halfline]
+    )
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        u = GraphFunction(mesh, rng.uniform(0.0, 1.0, mesh.ndof))
+        assert migrated_mass(u) == pytest.approx(_migrated_mass_per_edge(u), rel=1e-12)
+        for em in mesh.edge_meshes:
+            assert localization_margin(u, em.edge_id) == _margin_per_edge(u, em.edge_id)
+    outcomes = set()
+    for lam in (0.25, 16.0):   # the tail cut at L/2, and at L - 1/sqrt(lam) > L/2
+        base = rng.uniform(0.1, 1.0, mesh.ndof)
+        for k in halfline_dofs:   # one zero at each halfline node in turn
+            u = GraphFunction(mesh, base.copy())
+            u.values[k] = 0.0
+            report = SimpleNamespace(
+                minimizer=u, mass=fn.mass(u), lam=lam, energy=fn.energy(u, 4.0), edge=None
+            )
+            positive = certify(report, model).positive
+            assert positive == _positive_per_edge(u, lam)
+            outcomes.add(positive)
+        for em in mesh.edge_meshes:
+            c = rng.uniform(0.0, em.coords[-1])
+            assert np.array_equal(
+                _translation_pin_vector(mesh, em.edge_id, 4.0, lam, c),
+                _pin_vector_per_edge(mesh, em.edge_id, 4.0, lam, c),
+            )
+    assert outcomes == {True, False}
 
 
 def test_graph_function_to_dict_roundtrips_values():
