@@ -35,7 +35,7 @@ class EdgeMesh:
     is_halfline: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     """Glued per-edge grids with a global degree-of-freedom map, assembled
     when built."""
@@ -202,7 +202,7 @@ def build_mesh(
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphFunction:
     """Nodal values of a continuous function on the mesh, one per global DOF."""
 

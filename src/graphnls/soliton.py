@@ -6,10 +6,15 @@ has the sech-power solution
     phi(x) = A * sech(B x)^q,   q = 2/(p-2),
     B = sqrt(lambda) * (p-2)/2,  A = (lambda * p / 2)^(1/(p-2)).
 
-The ground-state energy at mass mu is -theta_p * mu^(2 beta + 1) on the
-line and 2^(2 beta) times that on the halfline, with beta = (p-2)/(6-p).
-These profiles serve as oracles throughout, and as the compactly supported
-competitors that initialize the constrained solver.
+Testing the equation with phi and integrating its first integral
+phi'^2 = lambda phi^2 - (2/p) phi^p give the soliton identities
+||phi'||^2 = (p-2)/(2p) P and lambda mu = (p+2)/(2p) P, P = ||phi||_p^p,
+so the energy is -lambda mu (6-p) / (2(p+2)).  The ground-state energy at
+mass mu is -theta_p * mu^(2 beta + 1) on the line and 2^(2 beta) times
+that on the halfline, with beta = (p-2)/(6-p).  These profiles serve as
+oracles throughout, and as the compactly supported competitors that
+initialize the constrained solver.  Only the truncated competitor's
+energy, which fixes its cut level, needs quadrature.
 """
 
 from __future__ import annotations
@@ -42,6 +47,25 @@ def _sech_power_integral(s: float) -> float:
     return math.sqrt(math.pi) * math.exp(gammaln(s / 2.0) - gammaln((s + 1.0) / 2.0))
 
 
+def _mass_law(p: float) -> tuple[float, float]:
+    """(k, gamma) of the line soliton's mass law mu = k * lambda^gamma."""
+    q = 2.0 / (p - 2.0)
+    k = (p / 2.0) ** q * q * _sech_power_integral(2.0 * q)
+    gamma = (6.0 - p) / (2.0 * (p - 2.0))
+    return k, gamma
+
+
+def _amplitude_width(p: float, lam: float) -> tuple[float, float]:
+    """(A, B) of the lambda-soliton A * sech(B x)^q."""
+    q = 2.0 / (p - 2.0)
+    return (lam * p / 2.0) ** (1.0 / (p - 2.0)), math.sqrt(lam) / q
+
+
+def _check_positive(x: float, what: str) -> None:
+    if not (0.0 < x < math.inf):
+        raise SolitonError(f"{what} must be positive and finite, got {x}")
+
+
 @dataclass(frozen=True)
 class SolitonModel:
     """Scaling exponents and the soliton energy constant for one p."""
@@ -57,39 +81,31 @@ class SolitonModel:
 
     def lambda_for_mass(self, mu: float) -> float:
         """Multiplier of the line soliton with mass mu."""
-        if mu <= 0:
-            raise SolitonError("mass must be positive")
-        p = self.p
-        k = (p / 2.0) ** (2.0 / (p - 2.0)) * (2.0 / (p - 2.0)) * _sech_power_integral(2.0 * self.q)
-        gamma = (6.0 - p) / (2.0 * (p - 2.0))
+        _check_positive(mu, "mass")
+        k, gamma = _mass_law(self.p)
         return (mu / k) ** (1.0 / gamma)
 
     def mass_for_lambda(self, lam: float) -> float:
-        p = self.p
-        k = (p / 2.0) ** (2.0 / (p - 2.0)) * (2.0 / (p - 2.0)) * _sech_power_integral(2.0 * self.q)
-        gamma = (6.0 - p) / (2.0 * (p - 2.0))
+        """Mass of the line soliton with multiplier lam."""
+        _check_positive(lam, "multiplier")
+        k, gamma = _mass_law(self.p)
         return k * lam ** gamma
 
 
 @lru_cache(maxsize=None)
 def make_model(p: float) -> SolitonModel:
-    """Build the model for exponent p; theta_p by adaptive quadrature of the
-    unit-mass soliton energy (relative tolerance 1e-12)."""
+    """Build the model for exponent p; theta_p = lambda_1 (6-p) / (2(p+2)) by
+    the soliton identities, lambda_1 = k^(-1/gamma) the unit-mass multiplier."""
     _check_p(p)
-    beta = (p - 2.0) / (6.0 - p)
-    alpha = 2.0 / (6.0 - p)
-    partial = SolitonModel(p=p, beta=beta, alpha=alpha, theta=float("nan"))
-    lam = partial.lambda_for_mass(1.0)
-    f, _ = _profile_callables(p, lam)
-    energy = _energy_on_line(f, p, lam)
-    return SolitonModel(p=p, beta=beta, alpha=alpha, theta=-energy)
+    k, gamma = _mass_law(p)
+    theta = k ** (-1.0 / gamma) * (6.0 - p) / (2.0 * (p + 2.0))
+    return SolitonModel(p=p, beta=(p - 2.0) / (6.0 - p), alpha=2.0 / (6.0 - p), theta=theta)
 
 
 def _profile_callables(p: float, lam: float) -> tuple[Callable, Callable]:
     """Profile and derivative of the lambda-soliton centered at 0."""
     q = 2.0 / (p - 2.0)
-    B = math.sqrt(lam) / q
-    A = (lam * p / 2.0) ** (1.0 / (p - 2.0))
+    A, B = _amplitude_width(p, lam)
 
     def f(x):
         return A * np.cosh(B * np.asarray(x, dtype=float)) ** (-q)
@@ -101,17 +117,6 @@ def _profile_callables(p: float, lam: float) -> tuple[Callable, Callable]:
     return f, df
 
 
-def _energy_on_line(f: Callable, p: float, lam: float, df: Callable = None) -> float:
-    if df is None:
-        df = _profile_callables(p, lam)[1]
-    q = 2.0 / (p - 2.0)
-    B = math.sqrt(lam) / q
-    cutoff = 50.0 / B
-    kin, _ = quad(lambda x: df(x) ** 2, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)
-    pot, _ = quad(lambda x: f(x) ** p, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)
-    return 2.0 * (0.5 * kin - pot / p)
-
-
 def soliton_profile(model: SolitonModel, mu: float) -> tuple[Callable, Callable, float, float]:
     """Closed-form line soliton of mass mu, centered at 0.
 
@@ -119,17 +124,14 @@ def soliton_profile(model: SolitonModel, mu: float) -> tuple[Callable, Callable,
     """
     lam = model.lambda_for_mass(mu)
     f, df = _profile_callables(model.p, lam)
-    peak = (lam * model.p / 2.0) ** (1.0 / (model.p - 2.0))
-    return f, df, lam, peak
+    return f, df, lam, _amplitude_width(model.p, lam)[0]
 
 
 def soliton_residual(model: SolitonModel, mu: float, x: np.ndarray) -> np.ndarray:
     """Pointwise residual of u'' + u^(p-1) - lambda u at the closed form."""
-    p = model.p
+    p, q = model.p, model.q
     lam = model.lambda_for_mass(mu)
-    q = 2.0 / (p - 2.0)
-    B = math.sqrt(lam) / q
-    A = (lam * p / 2.0) ** (1.0 / (p - 2.0))
+    A, B = _amplitude_width(p, lam)
     s = np.cosh(B * np.asarray(x, dtype=float)) ** -1.0
     u = A * s ** q
     upp = A * B * B * (q * q * s ** q - q * (q + 1.0) * s ** (q + 2.0))
@@ -152,16 +154,16 @@ def energy_levels(model: SolitonModel, mu: float) -> tuple[float, float]:
 def gn_sharp_constant(model: SolitonModel) -> float:
     """Sharp Gagliardo-Nirenberg constant on noncompact graphs.
 
-    Computed from the halfline extremal (the half-soliton) at unit
-    multiplier; the ratio is invariant under both scalings.
+    Attained by the halfline extremal (the half-soliton); the ratio is
+    invariant under both scalings, so it is taken at unit multiplier.  There
+    P = ||phi||_p^p = A^p / (2B) * int sech^(pq), and the soliton identities
+    give the mass (p+2)/(2p) P and the kinetic term (p-2)/(2p) P.
     """
     p = model.p
-    f, df = _profile_callables(p, 1.0)
-    q = 2.0 / (p - 2.0)
-    cutoff = 50.0 * q
-    l2sq, _ = quad(lambda x: f(x) ** 2, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)
-    kinsq, _ = quad(lambda x: df(x) ** 2, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)
-    lpp, _ = quad(lambda x: f(x) ** p, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)
+    A, B = _amplitude_width(p, 1.0)
+    lpp = A ** p / (2.0 * B) * _sech_power_integral(p * model.q)
+    l2sq = (p + 2.0) / (2.0 * p) * lpp
+    kinsq = (p - 2.0) / (2.0 * p) * lpp
     return lpp / (l2sq ** (p / 4.0 + 0.5) * kinsq ** (p / 4.0 - 0.5))
 
 
@@ -169,17 +171,17 @@ def gn_sharp_constant(model: SolitonModel) -> float:
 # Compactly supported competitors
 
 
-def _truncated_profile(model: SolitonModel, mu: float, cut: float, half: bool):
-    """(soliton - cut)+ with the requested total mass, plus its support radius
-    and exact energy.  ``half`` uses the mass-2mu soliton restricted to x>=0."""
-    base_mass = 2.0 * mu if half else mu
-    f, df, lam, peak = soliton_profile(model, base_mass)
+def _truncated_energy(model: SolitonModel, mu: float, cut: float, half: bool) -> float:
+    """Energy of (soliton - cut)+ renormalized to mass mu, by quadrature
+    (no closed form exists).  ``half`` uses the mass-2mu soliton restricted
+    to x >= 0."""
+    lam = model.lambda_for_mass(2.0 * mu if half else mu)
+    peak, B = _amplitude_width(model.p, lam)
     if not (0.0 < cut < peak):
         raise SolitonError("cut level must lie in (0, peak)")
     p = model.p
-    q = 2.0 / (p - 2.0)
-    B = math.sqrt(lam) / q
-    x_c = np.arccosh((peak / cut) ** (1.0 / q)) / B
+    f, df = _profile_callables(p, lam)
+    x_c = np.arccosh((peak / cut) ** (1.0 / model.q)) / B
 
     def g(x):
         return np.clip(f(x) - cut, 0.0, None)
@@ -190,17 +192,11 @@ def _truncated_profile(model: SolitonModel, mu: float, cut: float, half: bool):
         m_half, _ = quad(lambda x: g(x) ** 2, 0.0, x_c, epsrel=1e-11, epsabs=0.0, limit=200)
         kin_half, _ = quad(lambda x: df(x) ** 2, 0.0, x_c, epsrel=1e-11, epsabs=0.0, limit=200)
         factor = 1.0 if half else 2.0
-        raw_mass = factor * m_half
-        scale = math.sqrt(mu / raw_mass)
+        scale = math.sqrt(mu / (factor * m_half))
         pot_half, _ = quad(
             lambda x: (scale * g(x)) ** p, 0.0, x_c, epsrel=1e-11, epsabs=0.0, limit=200
         )
-    energy = factor * (0.5 * scale ** 2 * kin_half - pot_half / p)
-
-    def profile(x):
-        return scale * g(x)
-
-    return profile, x_c, energy, lam
+    return factor * (0.5 * scale ** 2 * kin_half - pot_half / p)
 
 
 @lru_cache(maxsize=None)
@@ -209,7 +205,7 @@ def _cut_fraction(p: float, eps: float) -> float:
     the level at which the truncated, renormalized soliton meets the energy
     target -(1 - eps) theta_p mu^(2 beta + 1), a margin strictly below it.
 
-    Under y = B x every integral of ``_truncated_profile`` depends only on p
+    Under y = B x every integral of ``_truncated_energy`` depends only on p
     and cut / peak, and the energy scales as mu^(2 beta + 1) like the
     target, so the fraction is free of the mass.  The half-soliton of mass
     2 mu is the full one reflected onto the halfline, so the terminal
@@ -220,7 +216,7 @@ def _cut_fraction(p: float, eps: float) -> float:
     peak = soliton_profile(model, 1.0)[3]
 
     def gap(cut):
-        return _truncated_profile(model, 1.0, cut, False)[2] - target
+        return _truncated_energy(model, 1.0, cut, False) - target
 
     lo, hi = 1e-9 * peak, (1.0 - 1e-9) * peak
     if gap(lo) > 0:
@@ -242,7 +238,8 @@ def compact_competitor(
 ) -> GraphFunction:
     """Mass-mu competitor supported on one bounded edge.
 
-    A truncated, renormalized soliton.  The continuum profile has energy at
+    (soliton - cut)+ at the cut level of ``_cut_fraction``, renormalized to
+    mass mu on the mesh.  At mass mu the continuum profile has energy at
     most -(1-eps) * theta_p * mu^(2 beta + 1); on a terminal edge the
     half-soliton variant is used with its peak at the degree-one tip,
     reaching (1-eps) times the 2^(2 beta)-enhanced level.  The nodal
@@ -258,11 +255,10 @@ def compact_competitor(
         raise SolitonError(f"edge {edge_id!r} is a halfline; competitors need a bounded edge")
     length = em.coords[-1]
 
-    base_mass = 2.0 * mu if terminal else mu
-    _, _, lam, peak = soliton_profile(model, base_mass)
+    lam = model.lambda_for_mass(2.0 * mu if terminal else mu)
+    peak, B = _amplitude_width(model.p, lam)
     frac = _cut_fraction(model.p, eps)
-    B = math.sqrt(lam) / model.q
-    x_c = math.acosh(frac ** (-1.0 / model.q)) / B  # closed form: no quadrature
+    x_c = math.acosh(frac ** (-1.0 / model.q)) / B
 
     needed = x_c if terminal else 2.0 * x_c
     if needed > length + 1e-12:
@@ -270,7 +266,11 @@ def compact_competitor(
             f"mass {mu} below the fitting threshold for edge {edge_id!r}: "
             f"support {needed:.4g} exceeds length {length:.4g}"
         )
-    profile, x_c, _, _ = _truncated_profile(model, mu, frac * peak, terminal)
+    f = _profile_callables(model.p, lam)[0]
+    cut = frac * peak
+
+    def profile(x):
+        return np.clip(f(x) - cut, 0.0, None)
 
     # place, then renormalize the *discrete* mass exactly
     e = mesh.graph.edge(edge_id)

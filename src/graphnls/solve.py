@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -86,13 +86,7 @@ class SolveReport:
             "converged": self.converged,
             "iterations": self.iterations,
             "ground_claim": self.ground_claim,
-            "config": {
-                "grad_tol": self.config.grad_tol,
-                "max_iter": self.config.max_iter,
-                "h": self.config.h,
-                "truncation": self.config.truncation,
-                "seed": self.config.seed,
-            },
+            "config": asdict(self.config),
         }
         if include_function:
             doc["minimizer"] = self.minimizer.to_dict()
@@ -656,13 +650,7 @@ class ThresholdReport:
     monotone: bool               # interior persisted once established twice
 
     def to_dict(self) -> dict:
-        return {
-            "mu_grid": self.mu_grid,
-            "statuses": self.statuses,
-            "energies": self.energies,
-            "threshold": self.threshold,
-            "monotone": self.monotone,
-        }
+        return asdict(self)
 
 
 def scan_mass_threshold(

@@ -12,7 +12,7 @@ natural diagnostic for functions that were not produced by the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -108,23 +108,7 @@ class VerificationReport:
         return all(checks)
 
     def to_dict(self) -> dict:
-        return {
-            "positive": self.positive,
-            "min_value": self.min_value,
-            "sandwich_ok": self.sandwich_ok,
-            "energy": self.energy,
-            "line_level": self.line_level,
-            "halfline_level": self.halfline_level,
-            "ge3_ok": self.ge3_ok,
-            "ge3_level": self.ge3_level,
-            "preimage_n": self.preimage_n,
-            "gn_ok": self.gn_ok,
-            "gn_ratio": self.gn_ratio,
-            "gn_sharp": self.gn_sharp,
-            "linf_ok": self.linf_ok,
-            "linf_ratio": self.linf_ratio,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def certify(report, model: SolitonModel, rel_tol: float = 1e-3) -> VerificationReport:

@@ -284,3 +284,15 @@ def test_auto_truncation_grows_with_flat_states():
 def test_halfline_needs_room():
     with pytest.raises(MeshError):
         build_mesh(halfline_graph(), h=0.5, trunc=1.0)
+
+
+def test_mesh_and_function_compare_by_identity():
+    m1 = build_mesh(halfline_graph(), h=0.1, trunc=2.0)
+    m2 = build_mesh(halfline_graph(), h=0.1, trunc=2.0)
+    assert (m1 == m2) is False
+    assert (m1 == m1) is True
+    assert m1 in [m2, m1] and m1 not in [m2]
+    u, v = zero_function(m1), zero_function(m1)
+    assert (u == v) is False
+    assert (u == u) is True
+    assert u in [v, u] and u not in [v]

@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from graphnls import soliton
@@ -11,7 +13,8 @@ from graphnls.mesh import argmax, build_mesh
 from graphnls.soliton import (
     SolitonError,
     _cut_fraction,
-    _truncated_profile,
+    _profile_callables,
+    _truncated_energy,
     compact_competitor,
     energy_levels,
     gn_sharp_constant,
@@ -19,6 +22,7 @@ from graphnls.soliton import (
     soliton_profile,
     soliton_residual,
 )
+from graphnls.verify import certify
 
 
 def test_exponent_range_enforced():
@@ -81,6 +85,48 @@ def test_energy_levels_scaling_and_halfline_gain():
     assert half1 < line1 < 0.0
 
 
+def _quad_half(g, cutoff):
+    return quad(g, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)[0]
+
+
+def _theta_by_quadrature(model):
+    """Reference: minus the unit-mass soliton energy by adaptive quadrature."""
+    p, q = model.p, model.q
+    lam = model.lambda_for_mass(1.0)
+    f, df = _profile_callables(p, lam)
+    cutoff = 50.0 * q / math.sqrt(lam)
+    kin = _quad_half(lambda x: df(x) ** 2, cutoff)
+    pot = _quad_half(lambda x: f(x) ** p, cutoff)
+    return -2.0 * (0.5 * kin - pot / p)
+
+
+def _gn_sharp_by_quadrature(model):
+    """Reference: the GN ratio of the unit-lambda half-soliton by quadrature."""
+    p, q = model.p, model.q
+    f, df = _profile_callables(p, 1.0)
+    l2sq = _quad_half(lambda x: f(x) ** 2, 50.0 * q)
+    kinsq = _quad_half(lambda x: df(x) ** 2, 50.0 * q)
+    lpp = _quad_half(lambda x: f(x) ** p, 50.0 * q)
+    return lpp / (l2sq ** (p / 4.0 + 0.5) * kinsq ** (p / 4.0 - 0.5))
+
+
+@pytest.mark.parametrize("p", [2.1, 2.5, 3.0, 4.0, 5.0, 5.7, 5.95])
+def test_closed_forms_match_quadrature(p):
+    model = make_model(p)
+    assert model.theta == pytest.approx(_theta_by_quadrature(model), rel=1e-10, abs=0.0)
+    sharp = gn_sharp_constant(model)
+    assert sharp == pytest.approx(_gn_sharp_by_quadrature(model), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_mass_lambda_maps_reject_bad_arguments(bad):
+    model = make_model(4.0)
+    with pytest.raises(SolitonError, match="positive and finite"):
+        model.lambda_for_mass(bad)
+    with pytest.raises(SolitonError, match="positive and finite"):
+        model.mass_for_lambda(bad)
+
+
 def test_gn_sharp_constant_quartic():
     # p = 4 sharp constant on noncompact graphs is 2 / sqrt(3)
     model = make_model(4.0)
@@ -141,7 +187,7 @@ def _cut_fraction_at_mass(model, mu, eps, terminal):
     peak = soliton_profile(model, 2.0 * mu if terminal else mu)[3]
 
     def gap(cut):
-        return _truncated_profile(model, mu, cut, terminal)[2] - target
+        return _truncated_energy(model, mu, cut, terminal) - target
 
     cut = brentq(gap, 1e-9 * peak, (1.0 - 1e-9) * peak, xtol=1e-12 * peak)
     return 0.95 * cut / peak
@@ -169,6 +215,29 @@ def test_competitor_fit_check_runs_no_quadrature(monkeypatch):
     monkeypatch.setattr(soliton, "quad", no_quad)
     with pytest.raises(SolitonError, match="fitting threshold"):
         compact_competitor(model, 0.1, 0.1, mesh, "e")
+
+
+def test_fitting_competitor_and_certify_run_no_quadrature(monkeypatch):
+    # past the cached cut fraction, a fitting competitor and the certificates
+    # (GN constant included) are closed form
+    g = example_graph(1)
+    mesh = build_mesh(g, h=0.02, trunc=2.0)
+    model = make_model(4.0)
+    _cut_fraction(4.0, 0.1)  # warm the cache
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quadrature ran after the cut fraction was cached")
+
+    monkeypatch.setattr(soliton, "quad", no_quad)
+    edge = g.bounded_edges[0].id
+    u = compact_competitor(model, 50.0, 0.1, mesh, edge)
+    assert mass(u) == pytest.approx(50.0, rel=1e-12)
+    report = SimpleNamespace(
+        minimizer=u, mass=50.0, lam=model.lambda_for_mass(50.0), energy=energy(u, 4.0), edge=edge
+    )
+    ver = certify(report, model)
+    assert ver.gn_sharp == gn_sharp_constant(model)
+    assert ver.gn_ok
 
 
 def test_catalogue_competitors_beat_their_targets():

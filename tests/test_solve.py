@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,8 @@ from graphnls.mesh import GraphFunction, argmax, build_mesh, place_profile, zero
 from graphnls.solve import (
     SolveConfig,
     SolveError,
+    SolveReport,
+    ThresholdReport,
     _bordered_solve,
     _classify,
     _equilibrate_translation,
@@ -32,6 +35,7 @@ from graphnls.solve import (
     scan_mass_threshold,
 )
 from graphnls.soliton import energy_levels, make_model, soliton_profile
+from graphnls.verify import VerificationReport
 
 CFG = SolveConfig(h=0.02, truncation=8.0)
 
@@ -181,6 +185,30 @@ def test_solve_report_serializes():
     assert doc["converged"] is True
     slim = rep.to_dict(include_function=False)
     assert "minimizer" not in slim
+
+
+def test_report_dict_keys():
+    # the serialized documents keep their keys, in field order
+    mesh = build_mesh(halfline_graph(), h=0.1, trunc=2.0)
+    rep = SolveReport(
+        zero_function(mesh), fn.EnergyBreakdown(0.0, 0.0, 0.0, 4.0), 1.0, 1.0, 0.0, 0.1,
+        0.0, 0.0, "interior", True, 3, "e", 4.0, SolveConfig(truncation="auto"),
+    )
+    config = rep.to_dict(include_function=False)["config"]
+    assert list(config) == ["grad_tol", "max_iter", "h", "truncation", "seed"]
+    assert config["truncation"] == "auto"
+    scan = ThresholdReport([0.5, 5.0], ["escaped", "interior"], [-0.1, -2.0], 5.0, True)
+    assert list(scan.to_dict()) == ["mu_grid", "statuses", "energies", "threshold", "monotone"]
+    ver = VerificationReport(
+        True, 0.0, None, -1.0, -1.0, -4.0, True, -5.0, 2, True, 1.0, 1.2, True, 0.5
+    )
+    assert list(ver.to_dict()) == [
+        "positive", "min_value", "sandwich_ok", "energy", "line_level", "halfline_level",
+        "ge3_ok", "ge3_level", "preimage_n", "gn_ok", "gn_ratio", "gn_sharp", "linf_ok",
+        "linf_ratio", "all_ok",
+    ]
+    assert ver.to_dict()["all_ok"] is True
+    json.dumps([rep.to_dict(), scan.to_dict(), ver.to_dict()])
 
 
 def test_migrated_mass_small_for_localized_state():
