@@ -120,6 +120,18 @@ def _mass(text: str) -> float:
     return _number_in(text, 0.0, math.inf, "mass")
 
 
+def _spacing(text: str) -> float:
+    return _number_in(text, 0.0, math.inf, "h")
+
+
+def _tolerance(text: str) -> float:
+    return _number_in(text, 0.0, math.inf, "tolerance")
+
+
+def _truncation(text: str):
+    return text if text == "auto" else _number_in(text, 0.0, math.inf, "truncation")
+
+
 def _exponent(text: str) -> float:
     return _number_in(text, 2.0, 6.0, "p")
 
@@ -139,14 +151,11 @@ def _stride(text: str) -> int:
 
 
 def _config(args) -> SolveConfig:
-    trunc = args.trunc
-    if trunc != "auto":
-        trunc = float(trunc)
     return SolveConfig(
         grad_tol=args.tol,
         max_iter=args.max_iter,
         h=args.h,
-        truncation=trunc,
+        truncation=args.trunc,
         seed=args.seed,
     )
 
@@ -160,9 +169,9 @@ def _add_solver_flags(
     if need_mass:
         p.add_argument("--mass", type=_mass, required=True)
     p.add_argument("--p", type=_exponent, default=4.0)
-    p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--trunc", default="auto")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--h", type=_spacing, default=0.01)
+    p.add_argument("--trunc", type=_truncation, default="auto")
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--max-iter", type=int, default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report destination (default stdout)")

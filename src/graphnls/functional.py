@@ -86,13 +86,22 @@ def nonlinear_term(u: GraphFunction, p: float) -> np.ndarray:
     i.e. the weak form of |u|^(p-2) u.
     """
     _check_p(p)
-    P, P_t, node_w, mid_w = u.mesh.simpson_rule
     v = u.values
-    m = P @ v
+    return simpson_load(u.mesh, *simpson_nonlinearity(v, u.mesh.simpson_rule[0] @ v, p))
+
+
+def simpson_nonlinearity(v: np.ndarray, m: np.ndarray, p: float):
+    """|u|^(p-2) u at the nodes (values v) and at the element midpoints
+    (values m = P v): the two samples the Simpson rule weighs."""
     # f is formed before it is weighted: regrouping the products moves the
     # roundoff enough to change where the slow low-mass descents end
-    f_nodes = np.abs(v) ** (p - 2.0) * v
-    f_mids = np.abs(m) ** (p - 2.0) * m
+    return np.abs(v) ** (p - 2.0) * v, np.abs(m) ** (p - 2.0) * m
+
+
+def simpson_load(mesh, f_nodes: np.ndarray, f_mids: np.ndarray) -> np.ndarray:
+    """Weak form (int f eta)_eta by element Simpson, from the nodal and
+    midpoint samples of f."""
+    _, P_t, node_w, mid_w = mesh.simpson_rule
     return node_w * f_nodes + P_t @ (mid_w * f_mids)
 
 

@@ -154,8 +154,8 @@ def build_mesh(
     max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x) tails are
     negligible at the far end.
     """
-    if h <= 0:
-        raise MeshError("mesh spacing must be positive")
+    if not 0.0 < h < math.inf:
+        raise MeshError(f"mesh spacing h={h} is not positive and finite")
     ell = g.shortest_bounded_length
     if ell is not None and h >= ell / 2.0:
         raise MeshError(
@@ -166,8 +166,8 @@ def build_mesh(
         L = max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lam))
     else:
         L = float(trunc)
-        if L <= 0:
-            raise MeshError("truncation length must be positive")
+        if not 0.0 < L < math.inf:
+            raise MeshError(f"truncation length {L} is not positive and finite")
         if L < 10 * h:
             raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
 

@@ -144,8 +144,8 @@ def energy_levels(model: SolitonModel, mu: float) -> tuple[float, float]:
     The halfline level is 2^(2 beta) times the line level; together they
     sandwich the ground-state level of any noncompact graph.
     """
-    if mu < 0:
-        raise SolitonError("mass must be nonnegative")
+    if not 0.0 <= mu < math.inf:
+        raise SolitonError(f"mass {mu} is not nonnegative and finite")
     line = -model.theta * mu ** (2.0 * model.beta + 1.0)
     half = 2.0 ** (2.0 * model.beta) * line
     return line, half

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -43,8 +43,8 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
-            raise SolveError("grad tolerance must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise SolveError(f"grad tolerance {self.grad_tol} is not positive and finite")
         if self.max_iter < 1:
             raise SolveError("max iterations must be at least 1")
 
@@ -281,6 +281,85 @@ def _equilibrate_translation(mesh, x0, lam0, mu, p, edge_id, tol):
     return None
 
 
+class _Iterate(NamedTuple):
+    """A descent iterate x with what the next step reuses: K x, M x, the
+    element-midpoint values P x and the Simpson nonlinearity at both."""
+
+    x: np.ndarray
+    Kx: np.ndarray
+    Mx: np.ndarray
+    Px: np.ndarray
+    f_nodes: np.ndarray
+    f_mids: np.ndarray
+
+
+def _iterate_at(mesh: Mesh, x: np.ndarray, p: float) -> _Iterate:
+    """The iterate at x with every product computed from x itself."""
+    Px = mesh.simpson_rule[0] @ x
+    return _Iterate(
+        x, mesh.stiffness_matrix @ x, mesh.mass_matrix @ x, Px,
+        *fn.simpson_nonlinearity(x, Px, p),
+    )
+
+
+def _iterate_gradient(mesh: Mesh, it: _Iterate) -> np.ndarray:
+    """The weak energy gradient K x - n(x) of ``fn.grad_energy``."""
+    return it.Kx - fn.simpson_load(mesh, it.f_nodes, it.f_mids)
+
+
+class _Direction(NamedTuple):
+    """A search direction d with K d, M d, P d and the coefficients of the
+    quadratics u.Mu and u.Ku along u = x - alpha d."""
+
+    d: np.ndarray
+    Kd: np.ndarray
+    Md: np.ndarray
+    Pd: np.ndarray
+    mass: tuple   # (x.Mx, d.Mx, d.Md)
+    kin: tuple    # (x.Kx, d.Kx, d.Kd)
+
+
+def _direction(mesh: Mesh, it: _Iterate, d: np.ndarray) -> _Direction:
+    Kd = mesh.stiffness_matrix @ d
+    Md = mesh.mass_matrix @ d
+    return _Direction(
+        d, Kd, Md, mesh.simpson_rule[0] @ d,
+        (float(it.x @ it.Mx), float(d @ it.Mx), float(d @ Md)),
+        (float(it.x @ it.Kx), float(d @ it.Kx), float(d @ Kd)),
+    )
+
+
+def _line_trial(mesh: Mesh, it: _Iterate, dn: _Direction, alpha: float, mu: float, p: float):
+    """Energy of the line-search trial s y, y = x - alpha d, rescaled to
+    mass mu (s^2 = mu / y.My).  Mass and kinetic term are quadratics in
+    alpha; the potential ||y||_p^p = int f y takes one Simpson pass over
+    y and P y = P x - alpha P d.  Returns (energy, accept), where accept()
+    builds the iterate at s y by scaling the held products (the
+    nonlinearity by s^(p-1)), or None when y has no mass."""
+    m0, m1, m2 = dn.mass
+    my = m0 - alpha * (2.0 * m1 - alpha * m2)
+    if not my > 0.0:
+        return None
+    k0, k1, k2 = dn.kin
+    y = it.x - alpha * dn.d
+    Py = it.Px - alpha * dn.Pd
+    f_nodes, f_mids = fn.simpson_nonlinearity(y, Py, p)
+    _, _, node_w, mid_w = mesh.simpson_rule
+    lpp = float(node_w @ (f_nodes * y) + mid_w @ (f_mids * Py))
+    s2 = mu / my
+    energy = 0.5 * s2 * (k0 - alpha * (2.0 * k1 - alpha * k2)) - s2 ** (0.5 * p) * lpp / p
+
+    def accept() -> _Iterate:
+        s = math.sqrt(s2)
+        sf = s ** (p - 1.0)
+        return _Iterate(
+            s * y, s * (it.Kx - alpha * dn.Kd), s * (it.Mx - alpha * dn.Md), s * Py,
+            sf * f_nodes, sf * f_mids,
+        )
+
+    return energy, accept
+
+
 def _descend(
     mesh: Mesh,
     u0: GraphFunction,
@@ -291,6 +370,10 @@ def _descend(
 ):
     """Monotone projected-gradient descent plus Newton refinement.
 
+    Each step pays one preconditioner solve and four sparse products
+    (the gradient's P^T and K d, M d, P d); a line-search trial then costs
+    one Simpson pass (``_line_trial``).
+
     Returns (u, lambda, residual, iterations, converged, left_edge) where
     ``left_edge`` reports that the argmax drifted off ``monitor_edge`` and
     stayed off.
@@ -299,25 +382,21 @@ def _descend(
     K = mesh.stiffness_matrix
     lumped = mesh.lumped_mass
 
-    u = project_mass(u0, mu)
-    x = np.real(u.values).astype(float)
+    x = np.real(project_mass(u0, mu).values).astype(float)
     tol = cfg.grad_tol * max(1.0, mu)
     switch_tol = max(1e-3 * max(1.0, mu), 10.0 * tol)
 
-    def residual(xv):
-        g = fn.grad_energy(GraphFunction(mesh, xv), p)
-        lam = -float(xv @ g) / mu
-        return g + lam * (M @ xv), lam
+    def residual(it):
+        g = _iterate_gradient(mesh, it)
+        lam = -float(it.x @ g) / mu
+        return g + lam * it.Mx, lam
 
+    it = _iterate_at(mesh, x, p)
     # H1-type preconditioner scaled to the expected multiplier
-    lam0 = residual(x)[1]
+    lam0 = residual(it)[1]
     precond = splu((K + max(1.0, abs(lam0)) * M).tocsc())
 
-    def total_energy(xv):
-        gf = GraphFunction(mesh, xv)
-        return fn.energy(gf, p).total
-
-    e_now = total_energy(x)
+    e_now = fn.energy(GraphFunction(mesh, x), p).total
     step = 0.5
     off_edge_streak = 0
     left_edge = False
@@ -326,51 +405,46 @@ def _descend(
     iterations = 0
     abs_applied = False
 
-    for it in range(cfg.max_iter):
-        iterations = it + 1
-        r, lam = residual(x)
+    for k in range(cfg.max_iter):
+        iterations = k + 1
+        r, lam = residual(it)
         res = _weighted_residual_norm(r, lumped)
         if res <= switch_tol:
             break
 
         d = precond.solve(r)
-        Mx = M @ x
-        d = d - (float(d @ Mx) / mu) * x
+        d = d - (float(d @ it.Mx) / mu) * it.x
 
         if prev_x is not None:
-            dx = x - prev_x
+            dx = it.x - prev_x
             dr = r - prev_r
             denom = float(dx @ dr)
             if denom > 0:
                 step = float(dx @ dx) / denom
             step = min(max(step, 1e-6), 1e3)
-        prev_x, prev_r = x.copy(), r.copy()
+        prev_x, prev_r = it.x, r
 
-        accepted = False
+        dn = _direction(mesh, it, d)
         alpha = step
         for _ in range(40):
-            xn = x - alpha * d
-            mn = float(xn @ (M @ xn))
-            if mn > 0:
-                xn *= math.sqrt(mu / mn)
-                e_new = total_energy(xn)
-                if e_new <= e_now + 1e-14 * abs(e_now):
-                    accepted = True
-                    break
+            trial = _line_trial(mesh, it, dn, alpha, mu, p)
+            if trial is not None and trial[0] <= e_now + 1e-14 * abs(e_now):
+                break
             alpha *= 0.5
-        if not accepted:
+        else:
             break  # stalled; hand over to Newton
-        x, e_now = xn, e_new
+        e_now, accept = trial
+        it = accept()
 
-        if not abs_applied and (it >= 30 or res <= 10.0 * switch_tol):
-            x = np.abs(x)
-            m = float(x @ (M @ x))
-            x *= math.sqrt(mu / m)
-            e_now = total_energy(x)
+        if not abs_applied and (k >= 30 or res <= 10.0 * switch_tol):
+            x = np.abs(it.x)
+            x *= math.sqrt(mu / float(x @ (M @ x)))
+            it = _iterate_at(mesh, x, p)
+            e_now = fn.energy(GraphFunction(mesh, x), p).total
             abs_applied = True
 
         if monitor_edge is not None:
-            top_edge = argmax(GraphFunction(mesh, x))[0]
+            top_edge = argmax(GraphFunction(mesh, it.x))[0]
             if top_edge != monitor_edge:
                 off_edge_streak += 1
                 if off_edge_streak > 25:
@@ -379,13 +453,14 @@ def _descend(
             else:
                 off_edge_streak = 0
 
+    x = it.x
     if not abs_applied:
         x = np.abs(x)
         m = float(x @ (M @ x))
         if m > 0:
             x *= math.sqrt(mu / m)
 
-    r, lam = residual(x)
+    r, lam = residual(_iterate_at(mesh, x, p))
     xn, lamn, _, ok = _newton_refine(mesh, x, lam, mu, p, tol)
     if not ok:
         # sharp solitons on an edge carry a nearly flat translation

@@ -152,6 +152,32 @@ def test_bad_mass_or_exponent_is_usage_error(argv, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--h", "nan"],
+        ["--h", "inf"],
+        ["--h", "0"],
+        ["--trunc", "nan"],
+        ["--trunc", "inf"],
+        ["--trunc=-3"],
+        ["--trunc", "far"],
+        ["--tol", "nan"],
+        ["--tol=-1"],
+        ["--tol", "inf"],
+    ],
+)
+def test_bad_solver_flags_are_usage_errors(monkeypatch, capsys, flag):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved despite a usage error")
+
+    monkeypatch.setattr("graphnls.cli.minimize_on_edge", no_solve)
+    argv = ["solve", "--graph", "example3", "--edge", "e", "--mass", "10"] + flag
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 def test_overflowing_edge_length_is_graph_error(capsys):
     doc = (
         '{"vertices": ["a", "b"], "edges": ['

@@ -57,6 +57,15 @@ def test_mesh_too_coarse():
         build_mesh(g, h=0.2, trunc=5.0)
 
 
+@pytest.mark.parametrize(
+    "kw", [{"h": math.nan}, {"h": math.inf}, {"trunc": math.nan}, {"trunc": math.inf}]
+)
+def test_build_mesh_rejects_non_finite_spacing_or_truncation(kw):
+    args = {"h": 0.02, "trunc": 5.0, **kw}
+    with pytest.raises(MeshError, match="not positive and finite"):
+        build_mesh(halfline_graph(), **args)
+
+
 def test_mass_matrix_integrates_constants():
     # int 1 dx = total meshed length, up to the clipped Dirichlet end nodes
     g = line_graph(10.0)

@@ -85,6 +85,12 @@ def test_energy_levels_scaling_and_halfline_gain():
     assert half1 < line1 < 0.0
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_energy_levels_reject_bad_mass(bad):
+    with pytest.raises(SolitonError, match="nonnegative and finite"):
+        energy_levels(make_model(4.0), bad)
+
+
 def _quad_half(g, cutoff):
     return quad(g, 0.0, cutoff, epsrel=1e-12, epsabs=0.0, limit=200)[0]
 

@@ -1,4 +1,5 @@
 import json
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,7 +24,11 @@ from graphnls.solve import (
     ThresholdReport,
     _bordered_solve,
     _classify,
+    _direction,
     _equilibrate_translation,
+    _iterate_at,
+    _iterate_gradient,
+    _line_trial,
     _newton_refine,
     _translation_pin_vector,
     bound_state_catalogue,
@@ -38,6 +43,36 @@ from graphnls.soliton import energy_levels, make_model, soliton_profile
 from graphnls.verify import VerificationReport
 
 CFG = SolveConfig(h=0.02, truncation=8.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_config_rejects_bad_grad_tol(bad):
+    with pytest.raises(SolveError, match="not positive and finite"):
+        SolveConfig(grad_tol=bad)
+
+
+def test_line_trial_matches_direct_energy_and_gradient():
+    """A line-search trial's energy, and the gradient after its update,
+    equal the direct evaluations at the rescaled trial s (x - alpha d)."""
+    p, mu = 4.0, 5.0
+    mesh = build_mesh(double_bridge_graph(0.3), h=0.02, trunc=5.0)
+    M = mesh.mass_matrix
+    rng = np.random.default_rng(3)
+    x = 0.1 + rng.random(mesh.ndof)
+    x *= math.sqrt(mu / (x @ (M @ x)))
+    d = rng.standard_normal(mesh.ndof)
+    it = _iterate_at(mesh, x, p)
+    dn = _direction(mesh, it, d)
+    for alpha in (1e-3, 0.05, 0.3, 1.0, 4.0):
+        energy, accept = _line_trial(mesh, it, dn, alpha, mu, p)
+        y = x - alpha * d
+        u = GraphFunction(mesh, math.sqrt(mu / (y @ (M @ y))) * y)
+        assert energy == pytest.approx(fn.energy(u, p).total, rel=1e-12, abs=0.0)
+        new = accept()
+        np.testing.assert_allclose(new.x, u.values, rtol=1e-13, atol=0.0)
+        ref = fn.grad_energy(u, p)
+        err = np.linalg.norm(_iterate_gradient(mesh, new) - ref)
+        assert err <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_project_mass_exact():
