@@ -140,14 +140,19 @@ def _finite(text: str) -> float:
     return _number_in(text, -math.inf, math.inf, "value")
 
 
-def _stride(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError:
-        k = 0
-    if k < 1:
-        raise argparse.ArgumentTypeError(f"stride {text!r} is not an integer >= 1")
-    return k
+def _count(what: str):
+    """Parser of an integer >= 1, named ``what`` in its error message."""
+
+    def parse(text: str) -> int:
+        try:
+            k = int(text)
+        except ValueError:
+            k = 0
+        if k < 1:
+            raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer >= 1")
+        return k
+
+    return parse
 
 
 def _config(args) -> SolveConfig:
@@ -172,7 +177,7 @@ def _add_solver_flags(
     p.add_argument("--h", type=_spacing, default=0.01)
     p.add_argument("--trunc", type=_truncation, default="auto")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument("--max-iter", type=int, default=400)
+    p.add_argument("--max-iter", type=_count("max-iter"), default=400)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report destination (default stdout)")
     p.add_argument("--csv", default=None, help="write per-edge (x, u) series here")
@@ -316,7 +321,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--epsilon", type=_finite, default=1e-2)
     sp.add_argument("--t-final", type=_finite, default=10.0)
     sp.add_argument("--dt", type=_finite, default=1e-3)
-    sp.add_argument("--stride", type=_stride, default=10)
+    sp.add_argument("--stride", type=_count("stride"), default=10)
     sp.set_defaults(func=_cmd_evolve)
 
     return p

@@ -26,6 +26,8 @@ from .mesh import GraphFunction, Mesh
 # most Crank-Nicolson steps one run may take: the histories are allocated
 # up front, so a larger t_final / dt fails to allocate or never finishes
 MAX_STEPS = 10**7
+# most fixed-point sweeps one Crank-Nicolson step may take before it stalls
+MAX_SWEEPS = 50
 
 
 class EvolveError(RuntimeError):
@@ -67,13 +69,10 @@ def evolve(
     t_final: float,
     dt: float,
     fp_tol: float = 1e-10,
-    max_sweeps: int = 50,
     callback: Optional[Callable[[float, GraphFunction], None]] = None,
 ) -> EvolveResult:
     """March the Crank-Nicolson flow from 0 to ``t_final`` in steps of ``dt``."""
     check_time_grid(t_final, dt)
-    if max_sweeps < 1:
-        raise EvolveError("need max_sweeps >= 1")
     if not np.all(np.isfinite(u0.values)):
         raise EvolveError("initial state has non-finite values")
     n_steps = int(round(t_final / dt))
@@ -104,7 +103,7 @@ def evolve(
         else:
             un = 3.0 * (u - u_prev) + u_prev2
         converged = False
-        for sweep in range(max_sweeps):
+        for sweep in range(MAX_SWEEPS):
             mid = 0.5 * (u + un)
             rhs = c - fn.nonlinear_term(GraphFunction(mesh, mid), p)
             un_next = solver.solve(rhs)
@@ -210,20 +209,17 @@ def stability_probe(
     seed: int = 0,
     fp_tol: float = 1e-10,
     stride: int = 1,
-    p: Optional[float] = None,
 ) -> StabilityReport:
-    """Perturb a bound state by ``epsilon`` times a seeded smooth unit-H1
-    direction, restore the mass, evolve, and record the orbital H1 distance
-    back to the unperturbed state along the trajectory.
-
-    ``report`` is a solve report (its minimizer is used) or a plain
-    GraphFunction; ``stride`` thins the recorded distance samples.
+    """Perturb the minimizer of a solve report by ``epsilon`` times a seeded
+    smooth unit-H1 direction, restore the mass, evolve with the report's
+    exponent p, and record the orbital H1 distance back to the unperturbed
+    state along the trajectory; ``stride`` thins the recorded samples.
     """
     if not math.isfinite(epsilon):
         raise EvolveError(f"epsilon must be finite, got {epsilon}")
     if stride < 1:
         raise EvolveError(f"stride must be at least 1, got {stride}")
-    state = report.minimizer if hasattr(report, "minimizer") else report
+    state = report.minimizer
     mesh = state.mesh
     mu = fn.mass(state)
     pert = state.values.astype(complex)
@@ -245,11 +241,7 @@ def stability_probe(
             times.append(t)
             dists.append(orbital_distance(u, state))
 
-    if p is None:
-        if not hasattr(report, "p"):
-            raise EvolveError("p must be given when probing a bare GraphFunction")
-        p = report.p
-    result = evolve(gf, p, t_final=t_final, dt=dt, fp_tol=fp_tol, callback=watch)
+    result = evolve(gf, report.p, t_final=t_final, dt=dt, fp_tol=fp_tol, callback=watch)
     return StabilityReport(
         times=np.array(times),
         orbital_distances=np.array(dists),

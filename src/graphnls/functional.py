@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GraphFunction, interpolate
+from .graphs import halfline_graph
+from .mesh import GraphFunction, build_mesh, interpolate
+from .soliton import make_model
 
 
 class FunctionalError(ValueError):
@@ -190,9 +192,6 @@ def rearrangement(u: GraphFunction, n_nodes: int = 4001) -> GraphFunction:
     the sorted nodal values, then resampled on a fresh uniform mesh whose
     length is the measure of the support of u.
     """
-    from .graphs import halfline_graph
-    from .mesh import build_mesh
-
     vals = np.real(u.values)
     if np.min(vals) < -1e-12 * max(1.0, np.max(np.abs(vals))):
         raise FunctionalError("rearrangement requires a nonnegative function")
@@ -272,8 +271,6 @@ def ge3_bound(nu: float, n_preimages: int, p: float) -> float:
     """Energy lower bound -theta_p (2/N)^(2 beta) nu^(2 beta + 1) for a
     nonnegative function of squared L2 norm nu whose a.e. level has at
     least N preimages."""
-    from .soliton import make_model
-
     if n_preimages < 1:
         raise FunctionalError("N must be at least 1")
     if nu < 0:

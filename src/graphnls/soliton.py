@@ -103,16 +103,20 @@ def make_model(p: float) -> SolitonModel:
 
 
 def _profile_callables(p: float, lam: float) -> tuple[Callable, Callable]:
-    """Profile and derivative of the lambda-soliton centered at 0."""
+    """Profile and derivative of the lambda-soliton centered at 0.  Far out
+    cosh overflows to inf and the sech power to its exact limit 0, so the
+    overflow is not warned about (here and in ``soliton_residual``)."""
     q = 2.0 / (p - 2.0)
     A, B = _amplitude_width(p, lam)
 
     def f(x):
-        return A * np.cosh(B * np.asarray(x, dtype=float)) ** (-q)
+        with np.errstate(over="ignore"):
+            return A * np.cosh(B * np.asarray(x, dtype=float)) ** (-q)
 
     def df(x):
         x = np.asarray(x, dtype=float)
-        return -A * q * B * np.cosh(B * x) ** (-q) * np.tanh(B * x)
+        with np.errstate(over="ignore"):
+            return -A * q * B * np.cosh(B * x) ** (-q) * np.tanh(B * x)
 
     return f, df
 
@@ -132,7 +136,8 @@ def soliton_residual(model: SolitonModel, mu: float, x: np.ndarray) -> np.ndarra
     p, q = model.p, model.q
     lam = model.lambda_for_mass(mu)
     A, B = _amplitude_width(p, lam)
-    s = np.cosh(B * np.asarray(x, dtype=float)) ** -1.0
+    with np.errstate(over="ignore"):
+        s = np.cosh(B * np.asarray(x, dtype=float)) ** -1.0
     u = A * s ** q
     upp = A * B * B * (q * q * s ** q - q * (q + 1.0) * s ** (q + 2.0))
     return upp + u ** (p - 1.0) - lam * u

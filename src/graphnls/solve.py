@@ -4,15 +4,17 @@ The minimizer over functions of mass mu whose maximum sits on a chosen
 bounded edge is computed by projected gradient descent (retraction = exact
 mass rescaling, H1 preconditioning, adaptive two-point step) followed by a
 Newton refinement of the stationarity system.  The localization constraint
-is enforced by monitor-and-restart: it should be inactive at the solution,
-so the first-order conditions coincide with the plain Euler-Lagrange
-equation with a mass multiplier.
+is handled by one start, one descent: it should be inactive at the
+solution, so the first-order conditions coincide with the plain
+Euler-Lagrange equation with a mass multiplier, and a descent whose maximum
+leaves the edge for good is reported as escaped.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -20,9 +22,18 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import functional as fn
-from .graphs import MetricGraph
-from .mesh import GraphFunction, Mesh, argmax, build_mesh
-from .soliton import SolitonError, SolitonModel, compact_competitor, energy_levels, make_model
+from . import verify
+from .graphs import MetricGraph, classify_edges
+from .mesh import GraphFunction, Mesh, argmax, build_mesh, interpolate, place_profile
+from .soliton import (
+    SolitonError,
+    SolitonModel,
+    _profile_callables,
+    compact_competitor,
+    energy_levels,
+    make_model,
+    soliton_profile,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -43,10 +54,17 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.grad_tol < math.inf:
-            raise SolveError(f"grad tolerance {self.grad_tol} is not positive and finite")
-        if self.max_iter < 1:
-            raise SolveError("max iterations must be at least 1")
+        for what, x in (("grad tolerance", self.grad_tol), ("mesh spacing", self.h)):
+            if not _positive_finite(x):
+                raise SolveError(f"{what} {x!r} is not positive and finite")
+        if not (self.truncation == "auto" or _positive_finite(self.truncation)):
+            raise SolveError(f"truncation {self.truncation!r} is not 'auto' or positive and finite")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise SolveError(f"max iterations {self.max_iter!r} is not an integer >= 1")
+
+
+def _positive_finite(x) -> bool:
+    return isinstance(x, numbers.Real) and 0.0 < x < math.inf
 
 
 @dataclass
@@ -224,8 +242,6 @@ def _newton_refine(mesh, u, lam, mu, p, tol, max_iter=50):
 def _translation_pin_vector(mesh, edge_id, p, lam, c):
     """Nodal samples of the soliton derivative centered at c on one edge:
     the approximate translation mode, used as a pinning functional."""
-    from .soliton import _profile_callables
-
     _, df = _profile_callables(p, lam)
     on = mesh.node_edge == mesh.edge_index(edge_id)
     return np.bincount(mesh.node_dof[on], df(mesh.node_x[on] - c), mesh.ndof + 1)[:-1]
@@ -514,12 +530,10 @@ def _classify(
     ``escaped`` whether or not the run converged.  Only then does a run
     short of tolerance get ``not-converged``.
     """
-    from .verify import localization_margin
-
     top_edge, top_x, _ = argmax(u)
     m_loss = migrated_mass(u)
     ref_edge = edge_id if edge_id is not None else top_edge
-    margin = localization_margin(u, ref_edge)
+    margin = verify.localization_margin(u, ref_edge)
     if left_edge or lam <= 0.0:
         return "escaped", margin, m_loss, top_edge
     if not converged:
@@ -536,8 +550,6 @@ def _classify(
 
 
 def _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left_edge, edge_id):
-    from .verify import el_residual, kirchhoff_residual
-
     status, margin, m_loss, _ = _classify(mesh, u, lam, mu, edge_id, converged, left_edge)
     return SolveReport(
         minimizer=u,
@@ -546,8 +558,8 @@ def _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left_edge, edge_i
         mass=fn.mass(u),
         mass_loss=m_loss,
         localization_margin=margin,
-        el_residual=el_residual(u, lam, p),
-        kirchhoff_residual=kirchhoff_residual(u, lam=lam, p=p),
+        el_residual=verify.el_residual(u, lam, p),
+        kirchhoff_residual=verify.kirchhoff_residual(u, lam=lam, p=p),
         status=status,
         converged=converged,
         iterations=iters,
@@ -567,9 +579,11 @@ def minimize_on_edge(
 ) -> SolveReport:
     """Minimize the energy at mass mu among functions peaking on ``edge_id``.
 
-    Initialized with a compactly supported competitor on the edge; the
-    argmax is monitored at every accepted step and the run restarts from a
-    taller, narrower competitor when it drifts off the edge.
+    One start, one descent: the start is the eps = 0.1 compact competitor
+    on the edge, or a hat on the edge when the competitor does not fit
+    (mass below the fitting threshold).  The argmax is monitored at every
+    accepted step; a descent whose maximum stays off the edge ends early
+    and is reported ``escaped``.
     """
     e = g.edge(edge_id)
     if e.is_halfline:
@@ -583,37 +597,18 @@ def minimize_on_edge(
     model = make_model(p)
     if mesh is None:
         mesh = _resolve_mesh(g, cfg, model, mu)
-    from .graphs import classify_edges
-
     terminal = classify_edges(g).by_edge[edge_id].role == "terminal"
-
-    eps = 0.1
-    best = None
-    for _ in range(4):
-        fallback = False
-        try:
-            u0 = compact_competitor(model, mu, eps, mesh, edge_id, terminal=terminal)
-        except SolitonError:
-            # mass below the fitting threshold: fall back to a hat on the edge,
-            # which does not depend on eps, so a second attempt would repeat it
-            fallback = True
-            em = mesh.edge_mesh(edge_id)
-            length = em.coords[-1]
-            from .mesh import place_profile
-
-            u0 = place_profile(
-                mesh, edge_id, lambda x: np.clip(1.0 - np.abs(x) / (length / 2.0), 0.0, None),
-                length / 2.0,
-            )
-            u0 = project_mass(u0, mu)
-        u, lam, res, iters, converged, left = _descend(
-            mesh, u0, mu, p, cfg, monitor_edge=edge_id
+    try:
+        u0 = compact_competitor(model, mu, 0.1, mesh, edge_id, terminal=terminal)
+    except SolitonError:
+        # the competitor does not fit on the edge, or holds no mesh node
+        length = mesh.edge_mesh(edge_id).coords[-1]
+        u0 = place_profile(
+            mesh, edge_id, lambda x: np.clip(1.0 - np.abs(x) / (length / 2.0), 0.0, None),
+            length / 2.0,
         )
-        best = (u, lam, res, iters, converged, left)
-        if not left or fallback:
-            break
-        eps *= 0.5
-    u, lam, res, iters, converged, left = best
+        u0 = project_mass(u0, mu)
+    u, lam, _, iters, converged, left = _descend(mesh, u0, mu, p, cfg, monitor_edge=edge_id)
     return _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left, edge_id)
 
 
@@ -653,15 +648,11 @@ def _random_starts(mesh: Mesh, seed: int, count: int = 2):
 
 
 def _halfline_starts(mesh: Mesh, model: SolitonModel, mu: float):
-    from .soliton import soliton_profile
-
     f = soliton_profile(model, 2.0 * mu)[0]
     starts = []
     for em in mesh.edge_meshes:
         if not em.is_halfline:
             continue
-        from .mesh import interpolate
-
         starts.append(interpolate(mesh, {em.edge_id: lambda x: f(x)}))
     return starts
 

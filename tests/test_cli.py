@@ -93,6 +93,19 @@ def test_ground_halfline(tmp_path):
     assert doc["energy"]["total"] == pytest.approx(-1.0 / 3.0, rel=1e-3)
 
 
+def test_catalogue_one_entry_per_bounded_edge(tmp_path):
+    out = tmp_path / "catalogue.json"
+    rc = run(
+        ["catalogue", "--graph", "double-bridge", "--mass", "8", "--h", "0.05",
+         "--trunc", "5", "--out", str(out)]
+    )
+    assert rc == 0
+    doc = read_json(out)
+    assert [entry["edge"] for entry in doc["entries"]] == ["e"]
+    assert all("minimizer" not in entry for entry in doc["entries"])
+    assert "command" in doc["manifest"]
+
+
 def test_scan_csv(tmp_path):
     out = tmp_path / "scan.json"
     series = tmp_path / "scan.csv"
@@ -165,6 +178,8 @@ def test_bad_mass_or_exponent_is_usage_error(argv, capsys):
         ["--tol", "nan"],
         ["--tol=-1"],
         ["--tol", "inf"],
+        ["--max-iter", "0"],
+        ["--max-iter=-3"],
     ],
 )
 def test_bad_solver_flags_are_usage_errors(monkeypatch, capsys, flag):

@@ -1,4 +1,5 @@
-"""Package hygiene: no module imports a name it never uses."""
+"""Package hygiene: no module imports a name it never uses, and every
+import sits at module level."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphnls"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,24 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """Import statements inside a function body in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.add(f"{node.name} (line {inner.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_a_function_import():
+    src = "import os\n\ndef f():\n    from math import pi\n    return os.sep, pi\n"
+    assert function_imports(src) == ["f (line 4)"]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_imports_at_module_level(path):
+    assert function_imports(path.read_text()) == []

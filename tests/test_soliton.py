@@ -1,4 +1,5 @@
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.optimize import brentq
 
 from graphnls import soliton
 from graphnls.functional import energy, mass
-from graphnls.graphs import classify_edges, double_bridge_graph, example_graph
+from graphnls.graphs import Edge, MetricGraph, classify_edges, double_bridge_graph, example_graph
 from graphnls.mesh import argmax, build_mesh
 from graphnls.soliton import (
     SolitonError,
@@ -168,6 +169,54 @@ def test_compact_competitor_terminal_tip():
     assert tip_end == pytest.approx(np.max(vals), rel=1e-12)
     _, half = energy_levels(model, 10.0)
     assert energy(u, 4.0).total <= 0.9 * half
+
+
+def test_compact_competitor_terminal_tip_at_src_mirrors_tip_at_dst():
+    # every built-in terminal edge has its tip at dst; the tip-at-src
+    # variant is the mirror image of the same edge oriented the other way
+    model = make_model(4.0)
+    vals = {}
+    for tip_at_src in (True, False):
+        t = Edge("t", "tip", "v", 2.0) if tip_at_src else Edge("t", "v", "tip", 2.0)
+        g = MetricGraph(("tip", "v"), (t, Edge("h1", "v"), Edge("h2", "v")))
+        assert classify_edges(g).by_edge["t"].role == "terminal"
+        mesh = build_mesh(g, h=0.01, trunc=5.0)
+        u = compact_competitor(model, 10.0, 0.1, mesh, "t", terminal=True)
+        vals[tip_at_src] = u.edge_values("t")
+    peak = np.max(vals[True])
+    assert vals[True][0] == peak
+    np.testing.assert_allclose(vals[True], vals[False][::-1], rtol=0.0, atol=1e-12 * peak)
+
+
+def test_compact_competitor_far_from_its_peak_warns_nothing():
+    # cosh overflows for B x > 710, where sech^q takes its exact limit 0:
+    # at p = 4, mu = 400 (B = 100) the nodes of the 20-long edge more than
+    # 7.1 from the center overflow, and the support keeps five nodes
+    model = make_model(4.0)
+    mesh = build_mesh(double_bridge_graph(20.0), h=0.01, trunc=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = compact_competitor(model, 400.0, 0.1, mesh, "e")
+        f, df = _profile_callables(4.0, 1e4)
+        far = np.array([8.0, -8.0])
+        assert np.all(f(far) == 0.0) and np.all(df(far) == 0.0)
+        assert np.all(soliton_residual(model, 400.0, far) == 0.0)
+    assert mass(u) == pytest.approx(400.0, rel=1e-12)
+    assert np.count_nonzero(u.values) == 5
+
+
+def test_compact_competitor_too_narrow_for_the_mesh_raises_without_warning():
+    # p = 5, mu = 100 on the 0.3-long edge: the support (radius 1e-4) holds
+    # no node at h = 0.02, so the competitor has no mass; the solver then
+    # starts from the hat
+    model = make_model(5.0)
+    mesh = build_mesh(
+        double_bridge_graph(0.3), h=0.02, lambda_est=model.lambda_for_mass(100.0)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolitonError, match="lost all mass"):
+            compact_competitor(model, 100.0, 0.1, mesh, "e")
 
 
 def test_compact_competitor_mass_too_small():

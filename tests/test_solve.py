@@ -51,6 +51,36 @@ def test_config_rejects_bad_grad_tol(bad):
         SolveConfig(grad_tol=bad)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"h": math.nan},
+        {"h": 0.0},
+        {"h": -0.01},
+        {"h": math.inf},
+        {"h": "0.01"},
+        {"truncation": "x"},
+        {"truncation": math.nan},
+        {"truncation": 0.0},
+        {"truncation": -3.0},
+        {"truncation": math.inf},
+        {"max_iter": 2.5},
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"max_iter": "400"},
+    ],
+)
+def test_config_rejects_bad_fields(kwargs):
+    with pytest.raises(SolveError):
+        SolveConfig(**kwargs)
+
+
+def test_config_accepts_numpy_scalars_and_auto():
+    cfg = SolveConfig(h=np.float64(0.02), truncation=np.float32(8.0), max_iter=np.int64(3))
+    assert cfg.max_iter == 3
+    assert SolveConfig(truncation="auto").truncation == "auto"
+
+
 def test_line_trial_matches_direct_energy_and_gradient():
     """A line-search trial's energy, and the gradient after its update,
     equal the direct evaluations at the rescaled trial s (x - alpha d)."""
@@ -151,6 +181,25 @@ def test_classify_unconverged_positive_multiplier_is_not_converged():
     assert status == "escaped"
 
 
+def test_classify_maximum_on_a_vertex_is_constraint_active():
+    # the maximum sits on the vertex v1 of e, shared with h1 and h2: margin 0
+    mesh, _ = _bump_on_edge_e(1.0)
+    u = project_mass(place_profile(mesh, "e", lambda x: np.exp(-8.0 * x * x), 0.0), 1.0)
+    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=True, left_edge=False)
+    assert (status, margin, top) == ("constraint-active", 0.0, "e")
+
+
+def test_classify_maximum_next_to_a_branch_vertex_is_constraint_active():
+    # the maximum is one node (h = 0.05) from the degree-3 vertex v1 and
+    # strictly above it: margin > 0, but within 2h of the branch vertex
+    mesh, _ = _bump_on_edge_e(1.0)
+    u = project_mass(place_profile(mesh, "e", lambda x: np.exp(-8.0 * x * x), 0.05), 1.0)
+    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=True, left_edge=False)
+    assert (status, top) == ("constraint-active", "e")
+    assert margin > 0.0
+    assert argmax(u)[1] == pytest.approx(0.05)
+
+
 def test_minimize_on_edge_below_threshold_escapes_without_converging():
     # the 400-step descent phase stops short of tolerance with lam < 0:
     # the multiplier alone decides the status
@@ -186,23 +235,20 @@ def _descents_that_leave(monkeypatch):
 
 
 def test_minimize_on_edge_tries_the_fallback_hat_once(monkeypatch):
-    # below the fitting threshold every attempt would rebuild the same
-    # eps-independent hat, so one descent is enough
+    # one start, one descent: below the fitting threshold (mu = 0.5) the
+    # start is the hat, at mu = 100 the eps = 0.1 competitor; a descent that
+    # leaves the edge is reported, not retried
     starts, eps_seen = _descents_that_leave(monkeypatch)
-    minimize_on_edge(double_bridge_graph(0.3), "e", 0.5, 4.0, CFG)
-    assert eps_seen == [0.1]
-    assert len(starts) == 1
-
-
-def test_minimize_on_edge_restarts_narrower_competitors(monkeypatch):
-    # at mass 100 the competitors for eps = 0.1, 0.05 and 0.025 fit on the
-    # edge of length 0.3; the fourth attempt falls back to the hat
-    starts, eps_seen = _descents_that_leave(monkeypatch)
-    minimize_on_edge(double_bridge_graph(0.3), "e", 100.0, 4.0, CFG)
-    assert eps_seen == [0.1, 0.05, 0.025, 0.0125]
-    assert len(starts) == 4
-    for a, b in zip(starts, starts[1:]):
-        assert not np.array_equal(a, b)
+    support = {}
+    for mu in (0.5, 100.0):
+        starts.clear()
+        eps_seen.clear()
+        rep = minimize_on_edge(double_bridge_graph(0.3), "e", mu, 4.0, CFG)
+        assert eps_seen == [0.1]
+        assert len(starts) == 1
+        assert rep.status == "escaped"
+        support[mu] = np.count_nonzero(starts[0])
+    assert support[100.0] < support[0.5]
 
 
 def test_minimize_on_edge_rejects_halfline():
