@@ -145,6 +145,24 @@ def _weighted_residual_norm(r: np.ndarray, lumped: np.ndarray) -> float:
     return math.sqrt(float(np.sum(r * r / lumped)))
 
 
+def _newton_tol(cfg: SolveConfig, mu: float) -> float:
+    """Stationarity tolerance of the Newton polish at mass mu."""
+    return cfg.grad_tol * max(1.0, mu)
+
+
+def _resolved_multiplier(mesh: Mesh, mu: float, p: float) -> float:
+    """Multiplier of the line soliton of mass mu, after checking that the
+    mesh spacing resolves that soliton's width 1/sqrt(lambda)."""
+    lam = make_model(p).lambda_for_mass(mu)
+    width = 1.0 / math.sqrt(lam)
+    if mesh.h > width:
+        raise SolveError(
+            f"mesh spacing h={mesh.h:g} does not resolve the soliton of mass {mu:g}, "
+            f"whose width 1/sqrt(lambda) is {width:.3g}; take h <= {width:.3g}"
+        )
+    return lam
+
+
 def _resolve_mesh(
     g: MetricGraph, cfg: SolveConfig, model: SolitonModel, mu: float
 ) -> Mesh:
@@ -195,20 +213,28 @@ def _bordered_solve(H, B, f, g):
     return x, m
 
 
+# Newton gives up after this many accepted steps in a row that each cut
+# the residual by less than 10 %; runs that converge cut it far faster
+STALL_STEPS = 5
+STALL_RATIO = 0.9
+
+
 def _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=None):
     """Newton on the stationarity system bordered by the mass constraint
     and, when w is given, by the pin w . u = 0 with its multiplier nu.
 
     Full Newton steps with a residual-norm backtracking line search.
     Returns (x, mults, res, ok) with mults = (lam,) or (lam, nu); a
-    singular system or a step that cannot lower the residual ends the
-    iteration at the last iterate.
+    singular system, a step that cannot lower the residual, or a stall
+    (``STALL_STEPS`` accepted steps in a row that each keep more than
+    ``STALL_RATIO`` of the residual) ends the iteration at the last iterate.
     """
     M = mesh.mass_matrix
     K = mesh.stiffness_matrix
     x = np.array(x0, dtype=float)
     mults = np.array([lam] if w is None else [lam, 0.0])
     F1, Fb, res = _stationarity_residual(mesh, x, mults, mu, p, w)
+    weak = 0
     for _ in range(max_iter):
         if res <= tol:
             break
@@ -224,11 +250,14 @@ def _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=None):
             xn, mn = x + t * dx, mults + t * dm
             F1n, Fbn, rn = _stationarity_residual(mesh, xn, mn, mu, p, w)
             if rn < res:
+                weak = weak + 1 if rn > STALL_RATIO * res else 0
                 x, mults, F1, Fb, res = xn, mn, F1n, Fbn, rn
                 break
             t *= 0.5
         else:
             return x, mults, res, False
+        if weak == STALL_STEPS:
+            break
     return x, mults, res, res <= tol
 
 
@@ -386,9 +415,14 @@ def _descend(
 ):
     """Monotone projected-gradient descent plus Newton refinement.
 
-    Each step pays one preconditioner solve and four sparse products
-    (the gradient's P^T and K d, M d, P d); a line-search trial then costs
-    one Simpson pass (``_line_trial``).
+    The preconditioner is K + s M with s the larger of the start's
+    multiplier and the line soliton's at mass mu (the multiplier the descent
+    heads for), factored once; the mesh must resolve that soliton
+    (``_resolved_multiplier``).  Each step pays one preconditioner solve and
+    four sparse products (the gradient's P^T and K d, M d, P d); a
+    line-search trial then costs one Simpson pass (``_line_trial``).  The
+    Newton polish gives up when it stalls: ``STALL_STEPS`` accepted steps
+    in a row that each cut the residual by less than 10 %.
 
     Returns (u, lambda, residual, iterations, converged, left_edge) where
     ``left_edge`` reports that the argmax drifted off ``monitor_edge`` and
@@ -399,7 +433,7 @@ def _descend(
     lumped = mesh.lumped_mass
 
     x = np.real(project_mass(u0, mu).values).astype(float)
-    tol = cfg.grad_tol * max(1.0, mu)
+    tol = _newton_tol(cfg, mu)
     switch_tol = max(1e-3 * max(1.0, mu), 10.0 * tol)
 
     def residual(it):
@@ -408,9 +442,8 @@ def _descend(
         return g + lam * it.Mx, lam
 
     it = _iterate_at(mesh, x, p)
-    # H1-type preconditioner scaled to the expected multiplier
-    lam0 = residual(it)[1]
-    precond = splu((K + max(1.0, abs(lam0)) * M).tocsc())
+    shift = max(residual(it)[1], _resolved_multiplier(mesh, mu, p))
+    precond = splu((K + shift * M).tocsc())
 
     e_now = fn.energy(GraphFunction(mesh, x), p).total
     step = 0.5
@@ -665,13 +698,16 @@ def ground_state(
 ) -> SolveReport:
     """Best-of search for a mass-mu ground state: constrained solves on all
     bounded edges plus unconstrained descents from random and half-soliton
-    starts.  Candidates within a relative 1e-12 of the lowest energy tie,
-    and the first of them in that order wins, so that mirror-image
-    candidates do not swap on roundoff.  The returned energy is
+    starts.  Candidates within the Newton tolerance grad_tol * max(1, mu)
+    of the lowest energy tie, and the first of them in that order wins, so
+    that mirror images, or one state reached by two routes, do not swap on
+    roundoff or on solver noise.  The returned energy is
     checked against the universal line / halfline sandwich (broadened by
     tolerance)."""
     model = make_model(p)
     mesh = _resolve_mesh(g, cfg, model, mu)
+    # every descent below would raise this; say why rather than that none converged
+    _resolved_multiplier(mesh, mu, p)
     candidates: list[SolveReport] = []
 
     for e in g.bounded_edges:
@@ -694,7 +730,7 @@ def ground_state(
     if not converged:
         raise SolveError("no descent run converged")
     e_min = min(r.energy.total for r in converged)
-    best = next(r for r in converged if r.energy.total <= e_min + 1e-12 * abs(e_min))
+    best = next(r for r in converged if r.energy.total <= e_min + _newton_tol(cfg, mu))
 
     line_level, half_level = energy_levels(model, mu)
     tol = 1e-3 * abs(line_level) + 1e-12

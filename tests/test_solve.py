@@ -200,19 +200,52 @@ def test_classify_maximum_next_to_a_branch_vertex_is_constraint_active():
     assert argmax(u)[1] == pytest.approx(0.05)
 
 
-def test_minimize_on_edge_below_threshold_escapes_without_converging():
-    # the 400-step descent phase stops short of tolerance with lam < 0:
-    # the multiplier alone decides the status
+SCAN_CFG = SolveConfig(h=0.02, truncation=30.0)
+
+
+def test_minimize_on_edge_below_threshold_converges_with_negative_multiplier():
+    # the descent converges with lam < 0: no positive state of mass 0.1
+    # decays along the halflines, so the state is escaped
     mu = 0.1
-    rep = minimize_on_edge(
-        double_bridge_graph(0.3), "e", mu, 4.0, SolveConfig(h=0.02, truncation=30.0)
-    )
+    rep = minimize_on_edge(double_bridge_graph(0.3), "e", mu, 4.0, SCAN_CFG)
     assert rep.status == "escaped"
     assert rep.lam <= 0.0
-    assert rep.converged is False
-    assert rep.to_dict(include_function=False)["converged"] is False
+    assert rep.converged is True
+    assert rep.to_dict(include_function=False)["converged"] is True
     assert rep.mass_loss == pytest.approx(migrated_mass(rep.minimizer))
     assert rep.mass_loss > 0.05 * mu
+
+
+@pytest.mark.parametrize("mu", [0.25, 1.0, 5.0])
+def test_scan_descents_stop_well_before_the_step_cap(mu):
+    # preconditioned at the multiplier it heads for, the descent converges
+    # in tens of steps, far from the 400-step cap
+    rep = minimize_on_edge(double_bridge_graph(0.3), "e", mu, 4.0, SCAN_CFG)
+    assert rep.converged
+    assert rep.iterations < 100
+
+
+@pytest.mark.parametrize("mu", [0.1, 1.0, 5.0, 20.0])
+def test_minimize_on_edge_follows_the_scaling_law(mu):
+    # at p = 4, u -> s u(s x) maps mass mu to s mu, energy E to s^3 E and
+    # lam to s^2 lam: doubling every length (s = 1/2) halves the mass and
+    # must give the same status with E / 8 and lam / 4
+    small = minimize_on_edge(double_bridge_graph(0.3), "e", mu, 4.0, SCAN_CFG)
+    big = minimize_on_edge(
+        double_bridge_graph(0.6), "e", mu / 2.0, 4.0, SolveConfig(h=0.04, truncation=60.0)
+    )
+    assert big.status == small.status
+    assert small.energy.total == pytest.approx(8.0 * big.energy.total, rel=1e-6)
+    assert small.lam == pytest.approx(4.0 * big.lam, rel=1e-6)
+
+
+def test_minimize_on_edge_rejects_an_unresolved_soliton():
+    # at p = 5 and mass 100 the line soliton's width is 3e-5, far below h
+    message = r"h=0\.02 .*width 1/sqrt\(lambda\)"
+    with pytest.raises(SolveError, match=message):
+        minimize_on_edge(double_bridge_graph(0.3), "e", 100.0, 5.0, SolveConfig(h=0.02))
+    with pytest.raises(SolveError, match=message):
+        ground_state(double_bridge_graph(0.3), 100.0, 5.0, SolveConfig(h=0.02))
 
 
 def _descents_that_leave(monkeypatch):
@@ -398,6 +431,34 @@ def test_equilibrate_translation_recovers_off_center_soliton(ex1_e1_state, offse
     assert lam == pytest.approx(rep.lam, rel=1e-10)
 
 
+def test_newton_stops_when_it_stalls(ex1_e1_state, monkeypatch):
+    # an off-center soliton creeps along the flat translation mode: Newton
+    # gives up after STALL_STEPS weak steps instead of running to its cap
+    rep = ex1_e1_state
+    mesh = rep.minimizer.mesh
+    mu, p, tol = 50.0, 4.0, 1e-8 * 50.0
+    f = soliton_profile(make_model(p), mu)[0]
+    u = project_mass(place_profile(mesh, "e1", f, argmax(rep.minimizer)[1] + 0.1), mu)
+    lam = lagrange_multiplier(u, p)
+    jacobian = fn.nonlinear_jacobian
+    calls = []
+
+    def counted_jacobian(*args):
+        calls.append(1)
+        return jacobian(*args)
+
+    monkeypatch.setattr(fn, "nonlinear_jacobian", counted_jacobian)
+    stall = solve_module.STALL_STEPS
+    steps = []
+    for stall_steps in (stall, 10**9):
+        monkeypatch.setattr(solve_module, "STALL_STEPS", stall_steps)
+        calls.clear()
+        assert not _newton_refine(mesh, u.values, lam, mu, p, tol, max_iter=50)[3]
+        steps.append(len(calls))
+    assert stall <= steps[0] < 2 * stall
+    assert steps[1] == 50
+
+
 def test_equilibrate_translation_needs_room_on_the_edge(monkeypatch):
     # on an edge of length 4h the admissible centers [2h, L - 2h] collapse,
     # so no pinned solve is tried
@@ -425,12 +486,8 @@ def test_ground_state_line_matches_soliton():
     assert half - 1e-9 <= rep.energy.total
 
 
-@pytest.mark.parametrize("gap, expected", [(1e-15, "e"), (1e-9, "f")])
-def test_ground_state_ties_go_to_the_first_candidate(monkeypatch, gap, expected):
-    # edge f sits below edge e by a relative gap: within roundoff (1e-15)
-    # the first candidate in search order wins, beyond it the minimum does
-    energies = {"e": -100.0, "f": -100.0 * (1.0 + gap), "g": -50.0}
-    assert energies["f"] < energies["e"]
+def _ground_pick(monkeypatch, energies, cfg):
+    """The ground search's pick among stub edge solves of given energies."""
 
     def stub_solve(g, edge_id, mu, p, cfg, mesh=None):
         return SimpleNamespace(
@@ -445,9 +502,30 @@ def test_ground_state_ties_go_to_the_first_candidate(monkeypatch, gap, expected)
 
     monkeypatch.setattr(solve_module, "minimize_on_edge", stub_solve)
     monkeypatch.setattr(solve_module, "_descend", no_descent)
-    rep = ground_state(example_graph(4), 10.0, 4.0, SolveConfig(h=0.05, truncation=2.0))
-    assert rep.edge == expected
+    rep = ground_state(example_graph(4), 10.0, 4.0, cfg)
     assert rep.ground_claim
+    return rep.edge
+
+
+@pytest.mark.parametrize("gap, expected", [(1e-15, "e"), (1e-9, "f")])
+def test_ground_state_ties_go_to_the_first_candidate(monkeypatch, gap, expected):
+    # edge f sits below edge e by a relative gap: within the tie window
+    # (grad_tol * max(1, mu) = 1e-11 here) the first candidate in search
+    # order wins, beyond it the minimum does
+    energies = {"e": -100.0, "f": -100.0 * (1.0 + gap), "g": -50.0}
+    assert energies["f"] < energies["e"]
+    cfg = SolveConfig(h=0.05, truncation=2.0, grad_tol=1e-12)
+    assert _ground_pick(monkeypatch, energies, cfg) == expected
+
+
+@pytest.mark.parametrize("gap, expected", [(0.5, "e"), (2.0, "f")])
+def test_ground_state_tie_window_is_the_newton_tolerance(monkeypatch, gap, expected):
+    # one state reached by two routes differs by up to the Newton tolerance
+    # grad_tol * max(1, mu) (1e-7 at mu = 10): a gap in units of it
+    window = 1e-8 * 10.0
+    energies = {"e": -100.0, "f": -100.0 - gap * window, "g": -50.0}
+    cfg = SolveConfig(h=0.05, truncation=2.0)
+    assert _ground_pick(monkeypatch, energies, cfg) == expected
 
 
 def test_scan_mass_threshold_transitions():
