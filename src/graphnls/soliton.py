@@ -13,22 +13,25 @@ so the energy is -lambda mu (6-p) / (2(p+2)).  The ground-state energy at
 mass mu is -theta_p * mu^(2 beta + 1) on the line and 2^(2 beta) times
 that on the halfline, with beta = (p-2)/(6-p).  These profiles serve as
 oracles throughout, and as the compactly supported competitors that
-initialize the constrained solver.  Only the truncated competitor's
-energy, which fixes its cut level, needs quadrature.
+initialize the constrained solver.
+
+Only the truncated competitor's energy, which fixes its cut level, needs
+quadrature.  In soliton units y = B x its three integrals run over
+[0, y_c], where sech(y)^q falls to the cut fraction kappa.  One fixed
+composite Gauss-Legendre rule covers them: unit-width panels, then panels
+halving in width toward y_c, where (sech^q y - kappa)^p has an algebraic
+zero of order p.  The cut level is the root of that energy minus its
+target, found by Illinois regula falsi on a fixed bracket.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.optimize import brentq
-from scipy.special import gammaln
 
 from .mesh import GraphFunction, Mesh, place_profile
 
@@ -44,7 +47,7 @@ def _check_p(p: float) -> None:
 
 def _sech_power_integral(s: float) -> float:
     """Integral of sech(y)^s over the real line (s > 0)."""
-    return math.sqrt(math.pi) * math.exp(gammaln(s / 2.0) - gammaln((s + 1.0) / 2.0))
+    return math.sqrt(math.pi) * math.exp(math.lgamma(s / 2.0) - math.lgamma((s + 1.0) / 2.0))
 
 
 def _mass_law(p: float) -> tuple[float, float]:
@@ -176,32 +179,77 @@ def gn_sharp_constant(model: SolitonModel) -> float:
 # Compactly supported competitors
 
 
+# Gauss-Legendre nodes per panel, and the panels that halve in width toward
+# the cut point.  Over p in [2.2, 5.9] and cut fractions 1e-9 to 0.999 the
+# rule agrees with adaptive quadrature at epsrel 1e-13 to about 1e-12;
+# uniform 30-node panels alone miss its p-th power integral by 2e-10 at
+# p = 2.2, cut fraction 0.9.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GRADED_PANELS = 14
+
+
+def _graded_rule(y_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, y_c]:
+    unit-width panels up to y_c - 1, then panels halving in width toward
+    y_c (the whole interval is graded when y_c <= 1)."""
+    graded = min(1.0, y_c)
+    breaks = np.concatenate((
+        np.linspace(0.0, y_c - graded, math.ceil(y_c - graded) + 1),
+        y_c - graded * 0.5 ** np.arange(1, _GRADED_PANELS + 1),
+        [y_c],
+    ))
+    half = 0.5 * np.diff(breaks)[:, None]
+    mid = 0.5 * (breaks[:-1] + breaks[1:])[:, None]
+    return (mid + half * _GL_NODES).ravel(), (half * _GL_WEIGHTS).ravel()
+
+
 def _truncated_energy(model: SolitonModel, mu: float, cut: float, half: bool) -> float:
     """Energy of (soliton - cut)+ renormalized to mass mu, by quadrature
     (no closed form exists).  ``half`` uses the mass-2mu soliton restricted
-    to x >= 0."""
+    to x >= 0.  With phi = A sech(y)^q, y = B x, and kappa = cut / A, the
+    integrals over x in [0, x_c] become A^2 / B int (sech^q - kappa)^2,
+    (A q)^2 B int sech^2q tanh^2 and A^p / B int (sech^q - kappa)^p."""
     lam = model.lambda_for_mass(2.0 * mu if half else mu)
     peak, B = _amplitude_width(model.p, lam)
     if not (0.0 < cut < peak):
         raise SolitonError("cut level must lie in (0, peak)")
-    p = model.p
-    f, df = _profile_callables(p, lam)
-    x_c = np.arccosh((peak / cut) ** (1.0 / model.q)) / B
+    p, q = model.p, model.q
+    kappa = cut / peak
+    y, w = _graded_rule(math.acosh(kappa ** (-1.0 / q)))
+    s = np.cosh(y) ** -q
+    # roundoff can put nodes next to y_c a hair below the cut
+    g = np.maximum(s - kappa, 0.0)
+    m_half = peak ** 2 / B * (w @ g ** 2)
+    kin_half = (peak * q) ** 2 * B * (w @ (s * np.tanh(y)) ** 2)
+    factor = 1.0 if half else 2.0
+    scale = math.sqrt(mu / (factor * m_half))
+    pot_half = (scale * peak) ** p / B * (w @ g ** p)
+    return float(factor * (0.5 * scale ** 2 * kin_half - pot_half / p))
 
-    def g(x):
-        return np.clip(f(x) - cut, 0.0, None)
 
-    with warnings.catch_warnings():
-        # truncated integrands kink at x_c; roundoff chatter there is benign
-        warnings.simplefilter("ignore", IntegrationWarning)
-        m_half, _ = quad(lambda x: g(x) ** 2, 0.0, x_c, epsrel=1e-11, epsabs=0.0, limit=200)
-        kin_half, _ = quad(lambda x: df(x) ** 2, 0.0, x_c, epsrel=1e-11, epsabs=0.0, limit=200)
-        factor = 1.0 if half else 2.0
-        scale = math.sqrt(mu / (factor * m_half))
-        pot_half, _ = quad(
-            lambda x: (scale * g(x)) ** p, 0.0, x_c, epsrel=1e-11, epsabs=0.0, limit=200
-        )
-    return factor * (0.5 * scale ** 2 * kin_half - pot_half / p)
+def _illinois_root(
+    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, xtol: float
+) -> float:
+    """Root of f in [lo, hi], where f_lo = f(lo) < 0 <= f_hi = f(hi), by
+    Illinois regula falsi: a false-position step, halving the stored value
+    at an end the bracket kept twice running, so both ends close in
+    superlinearly.  Returns the last step once the bracket is within xtol."""
+    kept = 0   # -1: lo kept on the last step, +1: hi kept, 0: neither yet
+    while True:
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        fx = f(x)
+        if fx == 0.0 or hi - lo <= xtol:
+            return x
+        if fx < 0.0:
+            lo, f_lo = x, fx
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, fx
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +272,13 @@ def _cut_fraction(p: float, eps: float) -> float:
         return _truncated_energy(model, 1.0, cut, False) - target
 
     lo, hi = 1e-9 * peak, (1.0 - 1e-9) * peak
-    if gap(lo) > 0:
+    gap_lo, gap_hi = gap(lo), gap(hi)
+    if gap_lo > 0:
         raise SolitonError("competitor energy target unreachable; eps too small")
-    if gap(hi) < 0:
+    if gap_hi < 0:
         cut = hi
     else:
-        cut = brentq(gap, lo, hi, xtol=1e-12 * peak)
+        cut = _illinois_root(gap, lo, hi, gap_lo, gap_hi, xtol=1e-12 * peak)
     return 0.95 * cut / peak
 
 

@@ -750,6 +750,7 @@ class ThresholdReport:
     energies: list[float]
     threshold: Optional[float]   # smallest grid mass with an interior minimizer
     monotone: bool               # interior persisted once established twice
+    reasons: list[Optional[str]]  # SolveError message of each failed mass, else None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -764,7 +765,9 @@ def scan_mass_threshold(
     jobs: int = 1,
 ) -> ThresholdReport:
     """Empirical probe of the mass threshold: solve at each grid mass and
-    record the first with an interior minimizer.  ``jobs`` is accepted for
+    record the first with an interior minimizer.  A mass whose solve raises
+    ``SolveError`` is ``not-converged``, with the error's message as its
+    entry of ``reasons``.  ``jobs`` is accepted for
     callers that still pass it (the benchmark does) and ignored: the masses
     are solved serially."""
     grid = list(mu_grid)
@@ -774,13 +777,14 @@ def scan_mass_threshold(
     def run(mu):
         try:
             rep = minimize_on_edge(g, edge_id, mu, p, cfg)
-            return rep.status, rep.energy.total
-        except SolveError:
-            return "not-converged", float("nan")
+            return rep.status, rep.energy.total, None
+        except SolveError as exc:
+            return "not-converged", float("nan"), str(exc)
 
     results = [run(mu) for mu in grid]
-    statuses = [s for s, _ in results]
-    energies = [e for _, e in results]
+    statuses = [s for s, _, _ in results]
+    energies = [e for _, e, _ in results]
+    reasons = [r for _, _, r in results]
 
     threshold = None
     for mu, status in zip(grid, statuses):
@@ -800,4 +804,4 @@ def scan_mass_threshold(
             streak = 0
     if not monotone:
         logger.warning("interior status did not persist along the scan grid")
-    return ThresholdReport(grid, statuses, energies, threshold, monotone)
+    return ThresholdReport(grid, statuses, energies, threshold, monotone, reasons)

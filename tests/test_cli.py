@@ -119,6 +119,7 @@ def test_scan_csv(tmp_path):
     assert rc == 0
     doc = read_json(out)
     assert doc["statuses"][-1] == "interior"
+    assert doc["reasons"] == [None, None]
     with open(series) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["mass", "status", "energy"]

@@ -122,6 +122,15 @@ def test_evolve_rejects_bad_steps(bound_state):
         evolve(bad, 4.0, t_final=0.1, dt=0.01)
 
 
+def test_evolve_reports_a_blow_up_at_once(bound_state):
+    # an overflowing update is a blow-up, not a stalled fixed point, and the
+    # overflow escapes as no RuntimeWarning
+    huge = zero_function(bound_state.minimizer.mesh)
+    huge.values[5] = 1e120
+    with pytest.raises(EvolveError, match="non-finite values at step 0; the state blew up"):
+        evolve(huge, 4.0, t_final=0.05, dt=0.01)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [

@@ -1,7 +1,11 @@
-"""Package hygiene: no module imports a name it never uses, and every
-import sits at module level."""
+"""Package hygiene: no module imports a name it never uses, every import
+sits at module level, and importing the package loads only the sparse parts
+of scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,17 @@ def test_checker_flags_a_function_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy_quadrature_optimize_or_special():
+    code = (
+        "import sys, graphnls, graphnls.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'optimize'], ['scipy', 'special'])))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -234,6 +234,40 @@ def test_compact_competitor_rejects_halfline():
         compact_competitor(make_model(4.0), 10.0, 0.1, mesh, "h1")
 
 
+def _truncated_energy_by_quadrature(model, mu, kappa, half):
+    """Reference: the truncated competitor's energy by adaptive quadrature in
+    x, with the cut at kappa times the peak."""
+    p, q = model.p, model.q
+    lam = model.lambda_for_mass(2.0 * mu if half else mu)
+    f, df = _profile_callables(p, lam)
+    peak, cut = float(f(0.0)), kappa * float(f(0.0))
+    x_c = math.acosh(kappa ** (-1.0 / q)) * q / math.sqrt(lam)
+
+    def integral(h):
+        return quad(h, 0.0, x_c, epsrel=1e-13, epsabs=0.0, limit=200)[0]
+
+    def g(x):
+        return max(float(f(x)) - cut, 0.0)
+
+    factor = 1.0 if half else 2.0
+    scale = math.sqrt(mu / (factor * integral(lambda x: g(x) ** 2)))
+    kin = integral(lambda x: float(df(x)) ** 2)
+    pot = integral(lambda x: (scale * g(x)) ** p)
+    return factor * (0.5 * scale ** 2 * kin - pot / p), cut
+
+
+@pytest.mark.parametrize("p", [2.2, 2.5, 3.0, 4.0, 5.0, 5.5, 5.9])
+def test_truncated_energy_matches_adaptive_quadrature(p):
+    # the fixed graded rule against quad, from a cut far out in the tail to
+    # one just below the peak, where the (f - cut)^p kink dominates
+    model = make_model(p)
+    for kappa in (1e-9, 1e-6, 0.01, 0.1, 0.3, 0.6, 0.9, 0.999):
+        for half in (False, True):
+            ref, cut = _truncated_energy_by_quadrature(model, 2.0, kappa, half)
+            got = _truncated_energy(model, 2.0, cut, half)
+            assert got == pytest.approx(ref, rel=1e-11, abs=0.0), (kappa, half)
+
+
 def _cut_fraction_at_mass(model, mu, eps, terminal):
     """Reference: the truncation level over the peak found at the given
     mass, with the 0.95 safety margin, as each competitor call once did."""
@@ -267,7 +301,7 @@ def test_competitor_fit_check_runs_no_quadrature(monkeypatch):
     def no_quad(*args, **kwargs):
         raise AssertionError("quadrature ran before the fit check")
 
-    monkeypatch.setattr(soliton, "quad", no_quad)
+    monkeypatch.setattr(soliton, "_graded_rule", no_quad)
     with pytest.raises(SolitonError, match="fitting threshold"):
         compact_competitor(model, 0.1, 0.1, mesh, "e")
 
@@ -283,7 +317,7 @@ def test_fitting_competitor_and_certify_run_no_quadrature(monkeypatch):
     def no_quad(*args, **kwargs):
         raise AssertionError("quadrature ran after the cut fraction was cached")
 
-    monkeypatch.setattr(soliton, "quad", no_quad)
+    monkeypatch.setattr(soliton, "_graded_rule", no_quad)
     edge = g.bounded_edges[0].id
     u = compact_competitor(model, 50.0, 0.1, mesh, edge)
     assert mass(u) == pytest.approx(50.0, rel=1e-12)

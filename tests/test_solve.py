@@ -311,8 +311,12 @@ def test_report_dict_keys():
     config = rep.to_dict(include_function=False)["config"]
     assert list(config) == ["grad_tol", "max_iter", "h", "truncation", "seed"]
     assert config["truncation"] == "auto"
-    scan = ThresholdReport([0.5, 5.0], ["escaped", "interior"], [-0.1, -2.0], 5.0, True)
-    assert list(scan.to_dict()) == ["mu_grid", "statuses", "energies", "threshold", "monotone"]
+    scan = ThresholdReport(
+        [0.5, 5.0], ["escaped", "interior"], [-0.1, -2.0], 5.0, True, [None, None]
+    )
+    assert list(scan.to_dict()) == [
+        "mu_grid", "statuses", "energies", "threshold", "monotone", "reasons"
+    ]
     ver = VerificationReport(
         True, 0.0, None, -1.0, -1.0, -4.0, True, -5.0, 2, True, 1.0, 1.2, True, 0.5
     )
@@ -537,6 +541,14 @@ def test_scan_mass_threshold_transitions():
     assert report.statuses[-1] == "interior"
     assert report.threshold is not None and report.threshold <= 50.0
     assert report.monotone
+    assert report.reasons == [None, None, None]
+
+
+def test_scan_keeps_the_reason_a_mass_failed():
+    # at p = 5 the mass-100 soliton is far narrower than h = 0.02
+    report = scan_mass_threshold(double_bridge_graph(0.3), "e", 5.0, [100.0], SolveConfig(h=0.02))
+    assert report.statuses == ["not-converged"]
+    assert report.reasons[0].startswith("mesh spacing h=0.02 does not resolve the soliton")
 
 
 def test_scan_rejects_bad_grid():
