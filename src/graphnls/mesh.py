@@ -60,6 +60,8 @@ class Mesh:
     node_dof: np.ndarray = field(init=False, repr=False)
     node_edge: np.ndarray = field(init=False, repr=False)
     node_x: np.ndarray = field(init=False, repr=False)
+    # per dof: the first node-table position that holds it
+    dof_first_node: np.ndarray = field(init=False, repr=False)
     # per edge index: whether the edge is a (truncated) halfline
     edge_halfline: np.ndarray = field(init=False, repr=False)
     vertex_dofs: np.ndarray = field(init=False, repr=False)      # sorted
@@ -84,6 +86,8 @@ class Mesh:
         sizes = np.array([em.dofs.size for em in ems])
         self.node_edge = np.repeat(np.arange(len(ems)), sizes)
         self.el_edge = np.repeat(np.arange(len(ems)), sizes - 1)
+        dofs, first = np.unique(self.node_dof, return_index=True)
+        self.dof_first_node = first[dofs < self.ndof]
         self.edge_halfline = np.array([em.is_halfline for em in ems])
         self._edge_index = {em.edge_id: i for i, em in enumerate(ems)}
         self.vertex_dofs = np.array(sorted(self.vertex_dof.values()), dtype=int)
@@ -297,12 +301,14 @@ def argmax(u: GraphFunction) -> tuple[str, float, float]:
     """Location of the maximum of |u|: (edge id, coordinate, value).
 
     Ties break by edge input order, then by smallest coordinate (the first
-    maximum of the node table).
+    maximum of the node table): of the dofs attaining the maximum, the one
+    whose first node-table position is smallest wins.
     """
     mesh = u.mesh
-    vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
-    k = int(np.argmax(vals))
-    if vals[k] == 0.0:
+    vals = np.abs(u.values)
+    top = vals.max()
+    if top == 0.0:
         raise MeshError("argmax of the zero function is undefined")
+    k = int(mesh.dof_first_node[vals == top].min())
     em = mesh.edge_meshes[mesh.node_edge[k]]
-    return em.edge_id, float(mesh.node_x[k]), float(vals[k])
+    return em.edge_id, float(mesh.node_x[k]), float(top)

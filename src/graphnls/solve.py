@@ -405,6 +405,20 @@ def _line_trial(mesh: Mesh, it: _Iterate, dn: _Direction, alpha: float, mu: floa
     return energy, accept
 
 
+def _bb_step(
+    it: _Iterate, prev: _Iterate, r: np.ndarray, prev_r: np.ndarray, shift: float, step: float
+) -> float:
+    """Barzilai-Borwein step measured in the metric of the preconditioner
+    K + s M: dx.(K + s M) dx / dx.dr (Molina and Raydan, Numer. Algorithms
+    13, 1996), with (K + s M) dx from the K x and M x both iterates hold.
+    Keeps ``step`` when dx.dr <= 0; clipped to [1e-6, 1e3]."""
+    dx = it.x - prev.x
+    denom = float(dx @ (r - prev_r))
+    if denom > 0:
+        step = float(dx @ (it.Kx - prev.Kx + shift * (it.Mx - prev.Mx))) / denom
+    return min(max(step, 1e-6), 1e3)
+
+
 def _descend(
     mesh: Mesh,
     u0: GraphFunction,
@@ -419,8 +433,10 @@ def _descend(
     multiplier and the line soliton's at mass mu (the multiplier the descent
     heads for), factored once; the mesh must resolve that soliton
     (``_resolved_multiplier``).  Each step pays one preconditioner solve and
-    four sparse products (the gradient's P^T and K d, M d, P d); a
-    line-search trial then costs one Simpson pass (``_line_trial``).  The
+    four sparse products (the gradient's P^T and K d, M d, P d); its first
+    trial is the Barzilai-Borwein step measured in the metric of K + s M,
+    from the K x and M x the last two iterates hold (``_bb_step``), and a
+    line-search trial costs one Simpson pass (``_line_trial``).  The
     Newton polish gives up when it stalls: ``STALL_STEPS`` accepted steps
     in a row that each cut the residual by less than 10 %.
 
@@ -449,7 +465,7 @@ def _descend(
     step = 0.5
     off_edge_streak = 0
     left_edge = False
-    prev_x = None
+    prev = None
     prev_r = None
     iterations = 0
     abs_applied = False
@@ -464,14 +480,9 @@ def _descend(
         d = precond.solve(r)
         d = d - (float(d @ it.Mx) / mu) * it.x
 
-        if prev_x is not None:
-            dx = it.x - prev_x
-            dr = r - prev_r
-            denom = float(dx @ dr)
-            if denom > 0:
-                step = float(dx @ dx) / denom
-            step = min(max(step, 1e-6), 1e3)
-        prev_x, prev_r = it.x, r
+        if prev is not None:
+            step = _bb_step(it, prev, r, prev_r, shift, step)
+        prev, prev_r = it, r
 
         dn = _direction(mesh, it, d)
         alpha = step

@@ -147,6 +147,15 @@ def _argmax_per_edge(u):
     return best
 
 
+def _argmax_gather(u):
+    """Reference: gather |u| through the node table, fixed zeros included,
+    and take the first maximum."""
+    mesh = u.mesh
+    vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
+    k = int(np.argmax(vals))
+    return mesh.edge_meshes[mesh.node_edge[k]].edge_id, float(mesh.node_x[k]), float(vals[k])
+
+
 @pytest.mark.parametrize(
     "graph", [example_graph(1), double_bridge_graph(0.3)], ids=["example1", "double-bridge"]
 )
@@ -166,10 +175,23 @@ def test_argmax_matches_per_edge_scan(graph):
     vertex_only[mesh.vertex_dofs] = 2.0  # ties at the shared vertex dofs
     states.append(vertex_only)
     states.append(rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof))
+    states.extend(rng.standard_normal(mesh.ndof) for _ in range(20))
+    first_interior = mesh.edge_meshes[0].dofs[1]
+    last_interior = mesh.edge_meshes[-1].dofs[1]
+    for vd in mesh.vertex_dofs:
+        alone = rng.uniform(-1.0, 1.0, mesh.ndof)
+        alone[vd] = -3.0  # a vertex dof shared by several edges, alone at the top
+        states.append(alone)
+        tied = alone.copy()
+        tied[first_interior] = 3.0  # ties the vertex with the first edge's interior
+        states.append(tied)
+    two_edges = rng.uniform(-1.0, 1.0, mesh.ndof)
+    two_edges[[first_interior, last_interior]] = 3.0  # a tie between two edges
+    states.append(two_edges)
     for v in states:
         u = zero_function(mesh, complex_valued=np.iscomplexobj(v))
         u.values[:] = v
-        assert argmax(u) == _argmax_per_edge(u)
+        assert argmax(u) == _argmax_gather(u) == _argmax_per_edge(u)
     with pytest.raises(MeshError):
         argmax(zero_function(mesh))
 

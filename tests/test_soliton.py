@@ -278,7 +278,7 @@ def _cut_fraction_at_mass(model, mu, eps, terminal):
     def gap(cut):
         return _truncated_energy(model, mu, cut, terminal) - target
 
-    cut = brentq(gap, 1e-9 * peak, (1.0 - 1e-9) * peak, xtol=1e-12 * peak)
+    cut = brentq(gap, 1e-9 * peak, (1.0 - 1e-9) * peak, xtol=1e-16 * peak)
     return 0.95 * cut / peak
 
 
@@ -289,7 +289,7 @@ def test_cut_fraction_is_free_of_the_mass(p):
     for mu in (0.1, 1.0, 10.0, 50.0):
         for terminal in (False, True):
             ref = _cut_fraction_at_mass(model, mu, 0.1, terminal)
-            assert frac == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert frac == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_competitor_fit_check_runs_no_quadrature(monkeypatch):

@@ -22,6 +22,7 @@ from graphnls.solve import (
     SolveError,
     SolveReport,
     ThresholdReport,
+    _bb_step,
     _bordered_solve,
     _classify,
     _direction,
@@ -103,6 +104,50 @@ def test_line_trial_matches_direct_energy_and_gradient():
         ref = fn.grad_energy(u, p)
         err = np.linalg.norm(_iterate_gradient(mesh, new) - ref)
         assert err <= 1e-12 * np.linalg.norm(ref)
+
+
+def _bb_pair(shift):
+    """Two descent iterates, the second from an accepted line-search trial
+    (its K x and M x held, not recomputed), with residuals whose secant
+    dx.dr is positive."""
+    p, mu = 4.0, 5.0
+    mesh = build_mesh(double_bridge_graph(0.3), h=0.02, trunc=5.0)
+    H = mesh.stiffness_matrix + shift * mesh.mass_matrix
+    rng = np.random.default_rng(5)
+    x = 0.1 + rng.random(mesh.ndof)
+    x *= math.sqrt(mu / (x @ (mesh.mass_matrix @ x)))
+    prev = _iterate_at(mesh, x, p)
+    dn = _direction(mesh, prev, rng.standard_normal(mesh.ndof))
+    it = _line_trial(mesh, prev, dn, 0.05, mu, p)[1]()
+    prev_r = rng.standard_normal(mesh.ndof)
+    r = prev_r + 0.5 * (H @ (it.x - prev.x))
+    return H, it, prev, r, prev_r
+
+
+def test_bb_step_is_measured_in_the_preconditioner_metric():
+    shift = 3.7
+    H, it, prev, r, prev_r = _bb_pair(shift)
+    dx, dr = it.x - prev.x, r - prev_r
+    direct = dx @ (H @ dx) / (dx @ dr)
+    assert 1e-6 < direct < 1e3
+    assert _bb_step(it, prev, r, prev_r, shift, 0.5) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+def test_bb_step_keeps_the_last_step_without_positive_curvature():
+    H, it, prev, r, prev_r = _bb_pair(1.0)
+    flipped = prev_r - (r - prev_r)  # dx.dr < 0
+    assert _bb_step(it, prev, flipped, prev_r, 1.0, 0.37) == 0.37
+    assert _bb_step(it, prev, prev_r, prev_r, 1.0, 0.37) == 0.37  # dx.dr = 0
+
+
+@pytest.mark.parametrize("edge", ["e1", "e4", "e6"])
+def test_catalogue_descents_take_few_steps(edge):
+    # the secant step in the preconditioner's metric lands near the line
+    # minimum; a Euclidean step needs 71 steps on these edges
+    cfg = SolveConfig(h=0.02, truncation=2.0)
+    rep = minimize_on_edge(example_graph(1), edge, 50.0, 4.0, cfg)
+    assert rep.status == "interior"
+    assert rep.iterations <= 20
 
 
 def test_project_mass_exact():
