@@ -140,16 +140,16 @@ def _finite(text: str) -> float:
     return _number_in(text, -math.inf, math.inf, "value")
 
 
-def _count(what: str):
-    """Parser of an integer >= 1, named ``what`` in its error message."""
+def _count(what: str, least: int = 1):
+    """Parser of an integer >= ``least``, named ``what`` in its error message."""
 
     def parse(text: str) -> int:
         try:
             k = int(text)
         except ValueError:
-            k = 0
-        if k < 1:
-            raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer >= 1")
+            k = least - 1
+        if k < least:
+            raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer >= {least}")
         return k
 
     return parse
@@ -161,7 +161,6 @@ def _config(args) -> SolveConfig:
         max_iter=args.max_iter,
         h=args.h,
         truncation=args.trunc,
-        seed=args.seed,
     )
 
 
@@ -178,7 +177,6 @@ def _add_solver_flags(
     p.add_argument("--trunc", type=_truncation, default="auto")
     p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--max-iter", type=_count("max-iter"), default=400)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report destination (default stdout)")
     p.add_argument("--csv", default=None, help="write per-edge (x, u) series here")
 
@@ -322,6 +320,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--t-final", type=_finite, default=10.0)
     sp.add_argument("--dt", type=_finite, default=1e-3)
     sp.add_argument("--stride", type=_count("stride"), default=10)
+    sp.add_argument("--seed", type=_count("seed", least=0), default=0)
     sp.set_defaults(func=_cmd_evolve)
 
     return p

@@ -14,6 +14,7 @@ exp(i lambda t) times itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -222,6 +223,8 @@ def stability_probe(
         raise EvolveError(f"epsilon must be finite, got {epsilon}")
     if stride < 1:
         raise EvolveError(f"stride must be at least 1, got {stride}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise EvolveError(f"seed must be an integer >= 0, got {seed!r}")
     state = report.minimizer
     mesh = state.mesh
     mu = fn.mass(state)

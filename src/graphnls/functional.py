@@ -156,7 +156,6 @@ def linf_ratio(u: GraphFunction) -> float:
     if dl2 == 0.0:
         raise FunctionalError("ratio undefined for constant functions (zero derivative)")
     sup = float(np.max(np.abs(u.values)))
-    sup = max(sup, 0.0)
     return sup ** 2 / (2.0 * l2 * dl2)
 
 

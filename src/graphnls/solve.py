@@ -51,7 +51,7 @@ class SolveConfig:
     max_iter: int = 400
     h: float = 0.01
     truncation: Union[float, str] = "auto"
-    seed: int = 0
+    seed: int = 0   # unused: kept for callers that still pass it (the benchmark does)
 
     def __post_init__(self):
         for what, x in (("grad tolerance", self.grad_tol), ("mesh spacing", self.h)):
@@ -675,30 +675,15 @@ def bound_state_catalogue(
     return [minimize_on_edge(g, eid, mu, p, cfg, mesh=mesh) for eid in edges]
 
 
-def _random_starts(mesh: Mesh, seed: int, count: int = 2):
-    """Seeded smooth random bumps (twice (K + M)-smoothed white noise, made
-    nonnegative)."""
-    rng = np.random.default_rng(seed)
-    M = mesh.mass_matrix
-    K = mesh.stiffness_matrix
-    smooth = splu((K + M).tocsc())
-    starts = []
-    for _ in range(count):
-        raw = rng.standard_normal(mesh.ndof)
-        v = smooth.solve(smooth.solve(raw))
-        v = np.abs(v)
-        starts.append(GraphFunction(mesh, v))
-    return starts
-
-
 def _halfline_starts(mesh: Mesh, model: SolitonModel, mu: float):
+    """One half-soliton start per vertex that carries a halfline, on the
+    first halfline there in input order: halflines at one vertex are swapped
+    by a graph automorphism, so their descents are mirror images."""
     f = soliton_profile(model, 2.0 * mu)[0]
-    starts = []
-    for em in mesh.edge_meshes:
-        if not em.is_halfline:
-            continue
-        starts.append(interpolate(mesh, {em.edge_id: lambda x: f(x)}))
-    return starts
+    first = {}
+    for e in mesh.graph.halflines:
+        first.setdefault(e.src, e.id)
+    return [interpolate(mesh, {eid: f}) for eid in first.values()]
 
 
 def ground_state(
@@ -707,13 +692,14 @@ def ground_state(
     p: float,
     cfg: SolveConfig = SolveConfig(),
 ) -> SolveReport:
-    """Best-of search for a mass-mu ground state: constrained solves on all
-    bounded edges plus unconstrained descents from random and half-soliton
-    starts.  Candidates within the Newton tolerance grad_tol * max(1, mu)
-    of the lowest energy tie, and the first of them in that order wins, so
-    that mirror images, or one state reached by two routes, do not swap on
-    roundoff or on solver noise.  The returned energy is
-    checked against the universal line / halfline sandwich (broadened by
+    """Best-of search for a mass-mu ground state, started only where a
+    maximum can sit: constrained solves on all bounded edges, then one
+    unconstrained descent per halfline vertex from a half-soliton start
+    (``_halfline_starts``).  Candidates within the Newton tolerance
+    grad_tol * max(1, mu) of the lowest energy tie, and the first of them in
+    that order wins, so that mirror images, or one state reached by two
+    routes, do not swap on roundoff or on solver noise.  The returned energy
+    is checked against the universal line / halfline sandwich (broadened by
     tolerance)."""
     model = make_model(p)
     mesh = _resolve_mesh(g, cfg, model, mu)
@@ -727,8 +713,7 @@ def ground_state(
         except SolveError:
             continue
 
-    starts = _halfline_starts(mesh, model, mu) + _random_starts(mesh, cfg.seed)
-    for u0 in starts:
+    for u0 in _halfline_starts(mesh, model, mu):
         try:
             u, lam, _, iters, converged, left = _descend(mesh, u0, mu, p, cfg)
         except SolveError:

@@ -132,10 +132,11 @@ def test_scan_parser_defaults():
     )
     assert args.masses == "0.5,50"
     assert not hasattr(args, "mass")
-    assert (args.p, args.h, args.trunc, args.tol, args.max_iter, args.seed) == (
-        4.0, 0.01, "auto", 1e-8, 400, 0
+    assert (args.p, args.h, args.trunc, args.tol, args.max_iter) == (
+        4.0, 0.01, "auto", 1e-8, 400
     )
     assert not hasattr(args, "jobs")
+    assert not hasattr(args, "seed")
     assert (args.out, args.csv) == (None, None)
 
 
@@ -251,6 +252,8 @@ def test_evolve_subcommand(tmp_path):
         ["--dt", "1e-300"],
         ["--dt", "0"],
         ["--t-final", "-1"],
+        ["--seed=-1"],
+        ["--seed", "1.5"],
     ],
 )
 def test_evolve_rejects_bad_step_flags_before_solving(monkeypatch, capsys, flag):
@@ -262,3 +265,19 @@ def test_evolve_rejects_bad_step_flags_before_solving(monkeypatch, capsys, flag)
     assert run(argv) == 1
     err = capsys.readouterr().err.strip()
     assert err.startswith("usage error:") and "\n" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ground", "--graph", "halfline", "--mass", "2", "--seed", "1"],
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "8", "--seed", "1"],
+    ],
+)
+def test_seed_is_an_evolve_flag_only(argv, capsys):
+    # only the probe's perturbation is seeded; the solvers take no seed
+    evolve = ["evolve", "--graph", "double-bridge", "--edge", "e", "--mass", "8"]
+    assert _build_parser().parse_args(evolve).seed == 0
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "--seed" in err

@@ -139,6 +139,8 @@ def test_evolve_reports_a_blow_up_at_once(bound_state):
         {"stride": 0},
         {"epsilon": math.nan},
         {"epsilon": math.inf},
+        {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_stability_probe_rejects_bad_input(bound_state, kwargs):

@@ -27,6 +27,7 @@ from graphnls.solve import (
     _classify,
     _direction,
     _equilibrate_translation,
+    _halfline_starts,
     _iterate_at,
     _iterate_gradient,
     _line_trial,
@@ -533,6 +534,44 @@ def test_ground_state_line_matches_soliton():
     line, half = energy_levels(make_model(4.0), 2.0)
     assert rep.energy.total == pytest.approx(line, rel=1e-3)
     assert half - 1e-9 <= rep.energy.total
+
+
+@pytest.mark.parametrize(
+    "g, first_halflines",
+    [
+        (example_graph(1), ["h1", "h2", "h3", "h5"]),  # h3 and h4 both at v7
+        (example_graph(3), ["h1"]),
+        (star_graph(3), ["h1"]),
+        (line_graph(), ["h1", "h2"]),
+    ],
+)
+def test_halfline_starts_one_per_halfline_vertex(g, first_halflines):
+    # halflines at one vertex are swapped by an automorphism: only the
+    # first of them in input order gets the half-soliton start
+    mesh = build_mesh(g, h=0.1, trunc=2.0)
+    model = make_model(4.0)
+    f = soliton_profile(model, 2.0 * 3.0)[0]
+    starts = _halfline_starts(mesh, model, 3.0)
+    assert len(starts) == len(first_halflines)
+    for u0, eid in zip(starts, first_halflines):
+        expected = place_profile(mesh, eid, f, 0.0)
+        np.testing.assert_array_equal(u0.values, expected.values)
+
+
+def test_ground_state_halfline_makes_one_free_descent(monkeypatch):
+    # no bounded edge and one halfline vertex: one half-soliton start, no
+    # random starts
+    monitors = []
+    real_descend = solve_module._descend
+
+    def counting_descend(mesh, u0, mu, p, cfg, monitor_edge=None):
+        monitors.append(monitor_edge)
+        return real_descend(mesh, u0, mu, p, cfg, monitor_edge=monitor_edge)
+
+    monkeypatch.setattr(solve_module, "_descend", counting_descend)
+    rep = ground_state(halfline_graph(), 2.0, 4.0, SolveConfig(h=0.01))
+    assert monitors == [None]
+    assert rep.ground_claim and rep.converged
 
 
 def _ground_pick(monkeypatch, energies, cfg):
