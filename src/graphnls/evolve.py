@@ -1,14 +1,20 @@
 """Crank-Nicolson time stepping and orbital-stability diagnostics.
 
-The semidiscrete flow is i M du/dt = K u - n(u).  One step solves
+The semidiscrete flow, in the frame that rotates at frequency omega, is
+i M dv/dt = L v - n(v) with L = K + omega M; omega = 0 is the lab frame,
+and u = exp(i omega t) v maps one onto the other.  One step solves
 
-    (i M / dt - K / 2) u_new = (i M / dt + K / 2) u_old - n(u_mid)
+    (i M / dt - L / 2) v_new = (i M / dt + L / 2) v_old - n(v_mid)
 
-with u_mid = (u_old + u_new) / 2, by fixed-point iteration on the
-prefactored linear operator, started from the quadratic extrapolation of
-the last three states.  At fixed-point convergence the scheme conserves
-the discrete mass exactly and a stationary state evolves as
-exp(i lambda t) times itself.
+with v_mid = (v_old + v_new) / 2, by fixed-point sweeps on the prefactored
+linear operator.  Each step starts from one solve with the load n(v_mid)
+predicted by the quadratic extrapolation of the last three steps' final
+loads: the linear part, and with it the stiff modes, is then exact from
+the start, and only the smooth error of the load is left to the sweeps.
+At fixed-point convergence the scheme conserves the discrete mass exactly.
+A bound state of multiplier lambda is a fixed point of the scheme in the
+frame omega = lambda, and evolves as exp(i lambda t) times itself in the
+lab frame.
 """
 
 from __future__ import annotations
@@ -37,10 +43,10 @@ class EvolveError(RuntimeError):
 
 @dataclass
 class EvolveResult:
-    final: GraphFunction
+    final: GraphFunction   # in the rotating frame
     times: np.ndarray
     mass_history: np.ndarray
-    energy_history: np.ndarray
+    energy_history: np.ndarray   # the physical energy, the same in every frame
     sweeps_max: int
     sweeps_total: int
 
@@ -71,46 +77,73 @@ def evolve(
     dt: float,
     fp_tol: float = 1e-10,
     callback: Optional[Callable[[float, GraphFunction], None]] = None,
+    omega: float = 0.0,
 ) -> EvolveResult:
-    """March the Crank-Nicolson flow from 0 to ``t_final`` in steps of ``dt``."""
+    """March the Crank-Nicolson flow from 0 to ``t_final`` in steps of
+    ``dt``, in the frame that rotates at frequency ``omega``.
+
+    A step converges when a sweep's update is at most ``fp_tol`` times
+    max |u0|.  ``sweeps_total`` and ``sweeps_max`` count the fixed-point
+    sweeps, not the predictor solve that starts each step.
+    """
     check_time_grid(t_final, dt)
+    if not 2.0 < p < 6.0:
+        raise EvolveError(f"exponent p={p} outside the subcritical range (2, 6)")
+    if not math.isfinite(omega):
+        raise EvolveError(f"omega must be finite, got {omega}")
     if not np.all(np.isfinite(u0.values)):
         raise EvolveError("initial state has non-finite values")
     n_steps = int(round(t_final / dt))
     mesh = u0.mesh
-    M = mesh.mass_matrix
-    K = mesh.stiffness_matrix
-    A = ((1j / dt) * M - 0.5 * K).tocsc()
-    B = (1j / dt) * M + 0.5 * K
-    solver = splu(A)
+    # complex copies, so that no product upcasts the matrices on every call
+    M = mesh.mass_matrix.astype(complex)
+    K = mesh.stiffness_matrix.astype(complex)
+    P, _, node_w, mid_w = mesh.simpson_rule
+    P = P.astype(complex)
+    rule = (P, P.T, node_w, mid_w)
+    solver = splu(((1j / dt - 0.5 * omega) * M - 0.5 * K).tocsc())
 
     u = u0.values.astype(complex)
     scale0 = float(np.max(np.abs(u))) or 1.0
     times = np.zeros(n_steps + 1)
     masses = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
-    gf = GraphFunction(mesh, u)
     sweeps_max = sweeps_total = 0
-    u_prev = u_prev2 = None
+    loads = []   # final loads of the last three steps, newest first
+
+    def load(v):
+        return fn.simpson_load(rule, *fn.simpson_nonlinearity(v, P @ v, p))
+
+    def record(step, v):
+        """Store the mass and energy of v; return M v and K v, from which
+        the next step's right side is formed."""
+        Mv = M @ v
+        Kv = K @ v
+        masses[step] = np.real(np.vdot(v, Mv))
+        energies[step] = 0.5 * np.real(np.vdot(v, Kv)) - fn.simpson_power(rule, v, p) / p
+        return Mv, Kv
 
     # a state that blows up overflows before its update turns non-finite;
     # the check on the update reports it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        masses[0] = fn.mass(gf)
-        energies[0] = fn.energy(gf, p).total
+        Mu, Ku = record(0, u)
         for step in range(n_steps):
-            c = B @ u
-            if u_prev is None:
-                un = u.copy()
-            elif u_prev2 is None:
-                un = 2.0 * u - u_prev
+            c = (1j / dt + 0.5 * omega) * Mu + 0.5 * Ku
+            # predict the load from the last steps' final loads (constant,
+            # linear, then quadratic) and start from the solve it gives
+            if not loads:
+                n = load(u)
+            elif len(loads) == 1:
+                n = loads[0]
+            elif len(loads) == 2:
+                n = 2.0 * loads[0] - loads[1]
             else:
-                un = 3.0 * (u - u_prev) + u_prev2
+                n = 3.0 * (loads[0] - loads[1]) + loads[2]
+            un = solver.solve(c - n)
             converged = False
             for sweep in range(MAX_SWEEPS):
-                mid = 0.5 * (u + un)
-                rhs = c - fn.nonlinear_term(GraphFunction(mesh, mid), p)
-                un_next = solver.solve(rhs)
+                n = load(0.5 * (u + un))
+                un_next = solver.solve(c - n)
                 delta = float(np.max(np.abs(un_next - un)))
                 if not math.isfinite(delta):
                     raise EvolveError(f"non-finite values at step {step}; the state blew up")
@@ -125,13 +158,12 @@ def evolve(
                     f"fixed-point iteration stalled at step {step}: "
                     f"last update {delta:.3e} (try a smaller dt)"
                 )
-            u_prev2, u_prev, u = u_prev, u, un
-            gf = GraphFunction(mesh, u)
+            loads = [n] + loads[:2]
+            u = un
+            Mu, Ku = record(step + 1, u)
             times[step + 1] = (step + 1) * dt
-            masses[step + 1] = fn.mass(gf)
-            energies[step + 1] = fn.energy(gf, p).total
             if callback is not None:
-                callback(times[step + 1], gf)
+                callback(times[step + 1], GraphFunction(mesh, u))
 
     return EvolveResult(
         final=GraphFunction(mesh, u),
@@ -185,6 +217,7 @@ class StabilityReport:
     mass_drift: float
     energy_drift: float
     epsilon: float
+    omega: float        # frequency of the frame the probe stepped in
     sweeps: int         # fixed-point sweeps over all Crank-Nicolson steps
     sweeps_max: int     # most sweeps taken by one step
 
@@ -199,6 +232,7 @@ class StabilityReport:
             "mass_drift": self.mass_drift,
             "energy_drift": self.energy_drift,
             "epsilon": self.epsilon,
+            "omega": self.omega,
             "max_distance": self.max_distance,
             "sweeps": self.sweeps,
             "sweeps_max": self.sweeps_max,
@@ -216,8 +250,10 @@ def stability_probe(
 ) -> StabilityReport:
     """Perturb the minimizer of a solve report by ``epsilon`` times a seeded
     smooth unit-H1 direction, restore the mass, evolve with the report's
-    exponent p, and record the orbital H1 distance back to the unperturbed
-    state along the trajectory; ``stride`` thins the recorded samples.
+    exponent p in the frame that rotates at the report's multiplier (where
+    the unperturbed state is a fixed point of the scheme), and record the
+    orbital H1 distance back to the unperturbed state along the trajectory;
+    ``stride`` thins the recorded samples.
     """
     if not math.isfinite(epsilon):
         raise EvolveError(f"epsilon must be finite, got {epsilon}")
@@ -247,13 +283,17 @@ def stability_probe(
             times.append(t)
             dists.append(orbital_distance(u, state))
 
-    result = evolve(gf, report.p, t_final=t_final, dt=dt, fp_tol=fp_tol, callback=watch)
+    omega = float(report.lam)
+    result = evolve(
+        gf, report.p, t_final=t_final, dt=dt, fp_tol=fp_tol, callback=watch, omega=omega
+    )
     return StabilityReport(
         times=np.array(times),
         orbital_distances=np.array(dists),
         mass_drift=result.mass_drift,
         energy_drift=result.energy_drift,
         epsilon=epsilon,
+        omega=omega,
         sweeps=result.sweeps_total,
         sweeps_max=result.sweeps_max,
     )

@@ -53,8 +53,14 @@ def kinetic(u: GraphFunction) -> float:
 
 def lp_power_quad(u: GraphFunction, p: float) -> float:
     """||u||_p^p by element Simpson with midpoint evaluation."""
-    P, _, node_w, mid_w = u.mesh.simpson_rule
-    return float(node_w @ np.abs(u.values) ** p + mid_w @ np.abs(P @ u.values) ** p)
+    return simpson_power(u.mesh.simpson_rule, u.values, p)
+
+
+def simpson_power(rule: tuple, v: np.ndarray, p: float) -> float:
+    """Element Simpson integral of |v|^p from the nodal values v, by the
+    rule ``Mesh.simpson_rule`` or a copy of it of the dtype of v."""
+    P, _, node_w, mid_w = rule
+    return float(node_w @ np.abs(v) ** p + mid_w @ np.abs(P @ v) ** p)
 
 
 def lp_power_exact(u: GraphFunction, r: float) -> float:
@@ -89,7 +95,8 @@ def nonlinear_term(u: GraphFunction, p: float) -> np.ndarray:
     """
     _check_p(p)
     v = u.values
-    return simpson_load(u.mesh, *simpson_nonlinearity(v, u.mesh.simpson_rule[0] @ v, p))
+    rule = u.mesh.simpson_rule
+    return simpson_load(rule, *simpson_nonlinearity(v, rule[0] @ v, p))
 
 
 def simpson_nonlinearity(v: np.ndarray, m: np.ndarray, p: float):
@@ -100,10 +107,11 @@ def simpson_nonlinearity(v: np.ndarray, m: np.ndarray, p: float):
     return np.abs(v) ** (p - 2.0) * v, np.abs(m) ** (p - 2.0) * m
 
 
-def simpson_load(mesh, f_nodes: np.ndarray, f_mids: np.ndarray) -> np.ndarray:
+def simpson_load(rule: tuple, f_nodes: np.ndarray, f_mids: np.ndarray) -> np.ndarray:
     """Weak form (int f eta)_eta by element Simpson, from the nodal and
-    midpoint samples of f."""
-    _, P_t, node_w, mid_w = mesh.simpson_rule
+    midpoint samples of f, by the rule ``Mesh.simpson_rule`` or a copy of
+    it of the dtype of f."""
+    _, P_t, node_w, mid_w = rule
     return node_w * f_nodes + P_t @ (mid_w * f_mids)
 
 

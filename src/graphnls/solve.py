@@ -349,7 +349,7 @@ def _iterate_at(mesh: Mesh, x: np.ndarray, p: float) -> _Iterate:
 
 def _iterate_gradient(mesh: Mesh, it: _Iterate) -> np.ndarray:
     """The weak energy gradient K x - n(x) of ``fn.grad_energy``."""
-    return it.Kx - fn.simpson_load(mesh, it.f_nodes, it.f_mids)
+    return it.Kx - fn.simpson_load(mesh.simpson_rule, it.f_nodes, it.f_mids)
 
 
 class _Direction(NamedTuple):
@@ -437,6 +437,10 @@ def _descend(
     trial is the Barzilai-Borwein step measured in the metric of K + s M,
     from the K x and M x the last two iterates hold (``_bb_step``), and a
     line-search trial costs one Simpson pass (``_line_trial``).  The
+    descent hands over to Newton at a residual of min(1e-3 max(1, mu),
+    1e-2 lambda_line), and no less than 10 times the Newton tolerance: a
+    bound that does not scale with the line multiplier lambda_line leaves a
+    small multiplier 10 % off, too far for Newton.  The
     Newton polish gives up when it stalls: ``STALL_STEPS`` accepted steps
     in a row that each cut the residual by less than 10 %.
 
@@ -450,7 +454,8 @@ def _descend(
 
     x = np.real(project_mass(u0, mu).values).astype(float)
     tol = _newton_tol(cfg, mu)
-    switch_tol = max(1e-3 * max(1.0, mu), 10.0 * tol)
+    lam_line = _resolved_multiplier(mesh, mu, p)
+    switch_tol = max(min(1e-3 * max(1.0, mu), 1e-2 * lam_line), 10.0 * tol)
 
     def residual(it):
         g = _iterate_gradient(mesh, it)
@@ -458,7 +463,7 @@ def _descend(
         return g + lam * it.Mx, lam
 
     it = _iterate_at(mesh, x, p)
-    shift = max(residual(it)[1], _resolved_multiplier(mesh, mu, p))
+    shift = max(residual(it)[1], lam_line)
     precond = splu((K + shift * M).tocsc())
 
     e_now = fn.energy(GraphFunction(mesh, x), p).total

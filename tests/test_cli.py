@@ -234,6 +234,8 @@ def test_evolve_subcommand(tmp_path):
     assert rc == 0
     doc = read_json(out)
     assert doc["stability"]["epsilon"] == 0.01
+    # the probe steps in the frame that rotates at the solved multiplier
+    assert doc["stability"]["omega"] == doc["lambda"]
     assert max(doc["stability"]["orbital_distances"]) < 0.1
     assert doc["stability"]["sweeps"] >= 20
     assert doc["stability"]["sweeps_max"] >= 1

@@ -37,8 +37,8 @@ def test_standing_wave_stays_on_orbit(bound_state):
     res = evolve(u0, 4.0, t_final=0.5, dt=0.005, fp_tol=1e-12)
     ref = GraphFunction(u0.mesh, u0.values.astype(complex))
     assert orbital_distance(res.final, ref) < 1e-4
-    # the extrapolated start leaves fewer than 5 sweeps per step
-    assert res.sweeps_total < 5 * 100
+    # the start from the predicted load leaves about 3 sweeps per step
+    assert res.sweeps_total < 3.1 * 100
 
 
 def test_phase_commutation(bound_state):
@@ -61,6 +61,38 @@ def test_time_reversal(bound_state):
     conj = GraphFunction(mesh, np.conj(fwd.final.values))
     back = evolve(conj, 4.0, t_final=0.2, dt=0.005, fp_tol=1e-12)
     assert np.max(np.abs(np.conj(back.final.values) - a.values)) < 1e-10
+
+
+def test_rotating_frame_records_the_physical_energy(bound_state):
+    u0 = bound_state.minimizer
+    start = GraphFunction(u0.mesh, u0.values + 1e-2 * smoothed_perturbation(u0.mesh))
+    lab = evolve(start, 4.0, t_final=0.1, dt=0.005, fp_tol=1e-12)
+    rot = evolve(start, 4.0, t_final=0.1, dt=0.005, fp_tol=1e-12, omega=bound_state.lam)
+    assert rot.mass_history[0] == lab.mass_history[0]
+    assert rot.energy_history[0] == lab.energy_history[0]
+    assert lab.energy_history[0] == pytest.approx(fn.energy(start, 4.0).total, rel=1e-14)
+    # the frames differ by a phase, which changes neither mass nor energy
+    assert np.max(np.abs(rot.energy_history - lab.energy_history)) < 1e-6
+    assert orbital_distance(rot.final, lab.final) < 1e-4
+
+
+def test_unperturbed_probe_is_a_fixed_point_in_the_rotating_frame(bound_state):
+    # in the frame of its multiplier the solved state is a stationary state
+    # of the scheme: the predicted load is exact and one sweep confirms it
+    probe = stability_probe(bound_state, epsilon=0.0, t_final=0.5, dt=0.005, fp_tol=1e-12)
+    assert probe.omega == bound_state.lam
+    assert probe.max_distance < 1e-8
+    assert probe.sweeps <= 1.05 * 100
+
+
+def test_load_predictor_leaves_three_sweeps_per_step(bound_state):
+    # the first three steps predict from fewer loads; the runs agree on
+    # them, so the difference counts the sweeps of the later 97 steps.  A
+    # start extrapolated from the last three states takes 4 sweeps there
+    args = {"epsilon": 1e-2, "dt": 0.005, "fp_tol": 1e-12}
+    head = stability_probe(bound_state, t_final=0.015, **args)
+    probe = stability_probe(bound_state, t_final=0.5, **args)
+    assert probe.sweeps - head.sweeps <= 3 * 97
 
 
 def plain_fixed_point(u0, p, t_final, dt, fp_tol):
@@ -116,6 +148,12 @@ def test_evolve_rejects_bad_steps(bound_state):
     for t_final, dt in ((1e300, 1e-3), (1.0, 1e-300), (1.0 + 1e7, 1.0)):
         with pytest.raises(EvolveError, match="steps"):
             evolve(u0, 4.0, t_final=t_final, dt=dt)
+    for omega in (math.nan, math.inf):
+        with pytest.raises(EvolveError, match="omega"):
+            evolve(u0, 4.0, t_final=0.1, dt=0.01, omega=omega)
+    for p in (2.0, 6.0, math.nan):
+        with pytest.raises(EvolveError, match="subcritical"):
+            evolve(u0, p, t_final=0.1, dt=0.01)
     bad = GraphFunction(u0.mesh, u0.values.copy())
     bad.values[3] = math.nan
     with pytest.raises(EvolveError, match="non-finite"):
@@ -224,5 +262,6 @@ def test_stability_probe_small_perturbation(bound_state):
     assert probe.mass_drift < 1e-10
     doc = probe.to_dict()
     assert doc["epsilon"] == 1e-2
+    assert doc["omega"] == bound_state.lam
     assert len(doc["orbital_distances"]) == len(doc["times"])
     assert 100 <= doc["sweeps"] <= 100 * doc["sweeps_max"]

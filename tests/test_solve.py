@@ -271,6 +271,17 @@ def test_scan_descents_stop_well_before_the_step_cap(mu):
     assert rep.iterations < 100
 
 
+@pytest.mark.parametrize("mu, trunc", [(0.5, 60.0), (0.5, 120.0), (0.8, 60.0), (0.8, 120.0)])
+def test_small_multiplier_descents_hand_over_to_newton_in_reach(mu, trunc):
+    # lambda is 0.004-0.01 here: a hand-over at a residual of 1e-3 leaves it
+    # 7-12 % off and Newton fails; scaled with the line multiplier, Newton
+    # converges to a resolved interior state
+    cfg = SolveConfig(h=0.02, truncation=trunc, max_iter=3000)
+    rep = minimize_on_edge(double_bridge_graph(0.3), "e", mu, 4.0, cfg)
+    assert rep.status == "interior"
+    assert rep.el_residual <= 1e-12
+
+
 @pytest.mark.parametrize("mu", [0.1, 1.0, 5.0, 20.0])
 def test_minimize_on_edge_follows_the_scaling_law(mu):
     # at p = 4, u -> s u(s x) maps mass mu to s mu, energy E to s^3 E and
