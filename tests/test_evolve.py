@@ -13,7 +13,7 @@ from graphnls.evolve import (
     smoothed_perturbation,
     stability_probe,
 )
-from graphnls.graphs import double_bridge_graph
+from graphnls.graphs import double_bridge_graph, example_graph
 from graphnls.mesh import GraphFunction, build_mesh, zero_function
 from graphnls.solve import SolveConfig, minimize_on_edge
 
@@ -128,6 +128,40 @@ def test_extrapolated_start_reaches_the_same_state(bound_state):
     assert np.max(np.abs(res.final.values - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize(
+    "kind", ["perturbed", "larger", "smaller"], ids=["plus-0.3-pert", "1.5x", "0.5x"]
+)
+def test_stale_linear_part_reaches_the_same_state(bound_state, kind):
+    # the factored operator carries the linear part of the load at |u0|;
+    # where the modulus moves away from it, the sweeps still reach the
+    # fixed point of the plain scheme
+    u0 = bound_state.minimizer
+    mesh = u0.mesh
+    values = {
+        "perturbed": u0.values + 0.3 * smoothed_perturbation(mesh),
+        "larger": 1.5 * u0.values,
+        "smaller": 0.5 * u0.values,
+    }[kind]
+    start = GraphFunction(mesh, values)
+    res = evolve(start, 4.0, t_final=0.5, dt=0.005)
+    ref = plain_fixed_point(start, 4.0, t_final=0.5, dt=0.005, fp_tol=1e-10)
+    assert np.max(np.abs(res.final.values - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_factored_linear_part_leaves_about_two_sweeps_per_step():
+    # Example 3, edge e: the difference of the two probes counts the sweeps
+    # of the 197 steps after the first three.  With the operator factored
+    # without the linear part of the load they take 563, about 2.9 a step
+    state = minimize_on_edge(
+        example_graph(3), "e", 10.0, 4.0, SolveConfig(h=0.01, truncation=6.0)
+    )
+    assert state.status == "interior"
+    args = {"epsilon": 1e-2, "dt": 1e-3, "fp_tol": 1e-12}
+    head = stability_probe(state, t_final=0.003, **args)
+    probe = stability_probe(state, t_final=0.2, **args)
+    assert probe.sweeps - head.sweeps <= 2.25 * 197
+
+
 def test_zero_initial_data_stays_zero(bound_state):
     mesh = bound_state.minimizer.mesh
     z = zero_function(mesh, complex_valued=True)
@@ -160,6 +194,14 @@ def test_evolve_rejects_bad_steps(bound_state):
         evolve(bad, 4.0, t_final=0.1, dt=0.01)
 
 
+@pytest.mark.parametrize("fp_tol", [math.nan, math.inf, -1.0, 0.0])
+def test_evolve_rejects_bad_fp_tol(bound_state, fp_tol):
+    # a non-positive tolerance used to report a stalled iteration, and an
+    # infinite one accepted the first sweep
+    with pytest.raises(EvolveError, match="fp_tol"):
+        evolve(bound_state.minimizer, 4.0, t_final=0.1, dt=0.01, fp_tol=fp_tol)
+
+
 def test_evolve_reports_a_blow_up_at_once(bound_state):
     # an overflowing update is a blow-up, not a stalled fixed point, and the
     # overflow escapes as no RuntimeWarning
@@ -167,6 +209,9 @@ def test_evolve_reports_a_blow_up_at_once(bound_state):
     huge.values[5] = 1e120
     with pytest.raises(EvolveError, match="non-finite values at step 0; the state blew up"):
         evolve(huge, 4.0, t_final=0.05, dt=0.01)
+    # at p = 5.5 the linear part of the load at the start overflows already
+    with pytest.raises(EvolveError, match="non-finite values at step 0; the state blew up"):
+        evolve(huge, 5.5, t_final=0.05, dt=0.01)
 
 
 @pytest.mark.parametrize(
@@ -179,6 +224,8 @@ def test_evolve_reports_a_blow_up_at_once(bound_state):
         {"epsilon": math.inf},
         {"seed": -1},
         {"seed": 1.5},
+        {"fp_tol": math.nan},
+        {"fp_tol": 0.0},
     ],
 )
 def test_stability_probe_rejects_bad_input(bound_state, kwargs):
