@@ -30,7 +30,6 @@ from .soliton import (
     SolitonModel,
     _profile_callables,
     compact_competitor,
-    energy_levels,
     make_model,
     soliton_profile,
 )
@@ -140,11 +139,6 @@ def migrated_mass(u: GraphFunction) -> float:
     return float(np.sum(mesh.el_h[sel] / 3.0 * (a**2 + a * b + b**2)))
 
 
-def _weighted_residual_norm(r: np.ndarray, lumped: np.ndarray) -> float:
-    """Strong-form L2 norm of a weak residual: sqrt(sum r_i^2 / h_i)."""
-    return math.sqrt(float(np.sum(r * r / lumped)))
-
-
 def _newton_tol(cfg: SolveConfig, mu: float) -> float:
     """Stationarity tolerance of the Newton polish at mass mu."""
     return cfg.grad_tol * max(1.0, mu)
@@ -174,17 +168,14 @@ def _stationarity_residual(mesh, x, mults, mu, p, w=None):
     """Residual of K u - n(u) + lam M u [+ nu w] = 0, (u^T M u - mu)/2 = 0
     [, w . u = 0] at mults = (lam,) or (lam, nu): (F1, border residuals,
     norm), the pin term scaled by the strong-form norm of w."""
-    lumped = mesh.lumped_mass
-    Mx = mesh.mass_matrix @ x
-    F1 = fn.grad_energy(GraphFunction(mesh, x), p) + mults[0] * Mx
+    F1, Mx = verify.residual_rows(mesh, x, mults[0], p)
     Fb = [0.5 * (float(x @ Mx) - mu)]
+    pin = 0.0
     if w is not None:
         F1 = F1 + mults[1] * w
         Fb.append(float(w @ x))
-    res = _weighted_residual_norm(F1, lumped) + abs(Fb[0])
-    if w is not None:
-        res += abs(Fb[1]) / (math.sqrt(float(np.sum(w * w * lumped))) or 1.0)
-    return F1, np.array(Fb), res
+        pin = abs(Fb[1]) / (math.sqrt(float(np.sum(w * w * mesh.lumped_mass))) or 1.0)
+    return F1, np.array(Fb), verify.strong_norm(mesh, F1) + abs(Fb[0]) + pin
 
 
 def _bordered_solve(H, B, f, g):
@@ -419,6 +410,14 @@ def _bb_step(
     return min(max(step, 1e-6), 1e3)
 
 
+def _fold(M, x: np.ndarray, mu: float) -> np.ndarray:
+    """|x| rescaled to mass mu measured as x.(M x); |x|.M|x| >= x.Mx = mu > 0
+    since M is entrywise nonnegative."""
+    x = np.abs(x)
+    x *= math.sqrt(mu / float(x @ (M @ x)))
+    return x
+
+
 def _descend(
     mesh: Mesh,
     u0: GraphFunction,
@@ -450,7 +449,6 @@ def _descend(
     """
     M = mesh.mass_matrix
     K = mesh.stiffness_matrix
-    lumped = mesh.lumped_mass
 
     x = np.real(project_mass(u0, mu).values).astype(float)
     tol = _newton_tol(cfg, mu)
@@ -478,7 +476,7 @@ def _descend(
     for k in range(cfg.max_iter):
         iterations = k + 1
         r, lam = residual(it)
-        res = _weighted_residual_norm(r, lumped)
+        res = verify.strong_norm(mesh, r)
         if res <= switch_tol:
             break
 
@@ -502,8 +500,7 @@ def _descend(
         it = accept()
 
         if not abs_applied and (k >= 30 or res <= 10.0 * switch_tol):
-            x = np.abs(it.x)
-            x *= math.sqrt(mu / float(x @ (M @ x)))
+            x = _fold(M, it.x, mu)
             it = _iterate_at(mesh, x, p)
             e_now = fn.energy(GraphFunction(mesh, x), p).total
             abs_applied = True
@@ -518,12 +515,7 @@ def _descend(
             else:
                 off_edge_streak = 0
 
-    x = it.x
-    if not abs_applied:
-        x = np.abs(x)
-        m = float(x @ (M @ x))
-        if m > 0:
-            x *= math.sqrt(mu / m)
+    x = it.x if abs_applied else _fold(M, it.x, mu)
 
     r, lam = residual(_iterate_at(mesh, x, p))
     xn, lamn, _, ok = _newton_refine(mesh, x, lam, mu, p, tol)
@@ -540,7 +532,7 @@ def _descend(
         x, lam = np.abs(xn), lamn
         _, _, res = _stationarity_residual(mesh, x, (lam,), mu, p)
     else:
-        res = _weighted_residual_norm(r, lumped)
+        res = verify.strong_norm(mesh, r)
     converged = res <= tol
     return GraphFunction(mesh, x), lam, res, iterations, converged, left_edge
 
@@ -600,6 +592,7 @@ def _classify(
 
 def _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left_edge, edge_id):
     status, margin, m_loss, _ = _classify(mesh, u, lam, mu, edge_id, converged, left_edge)
+    el, kirchhoff = verify.residual_norms(u, lam, p)
     return SolveReport(
         minimizer=u,
         energy=fn.energy(u, p),
@@ -607,8 +600,8 @@ def _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left_edge, edge_i
         mass=fn.mass(u),
         mass_loss=m_loss,
         localization_margin=margin,
-        el_residual=verify.el_residual(u, lam, p),
-        kirchhoff_residual=verify.kirchhoff_residual(u, lam=lam, p=p),
+        el_residual=el,
+        kirchhoff_residual=kirchhoff,
         status=status,
         converged=converged,
         iterations=iters,
@@ -733,9 +726,8 @@ def ground_state(
     e_min = min(r.energy.total for r in converged)
     best = next(r for r in converged if r.energy.total <= e_min + _newton_tol(cfg, mu))
 
-    line_level, half_level = energy_levels(model, mu)
-    tol = 1e-3 * abs(line_level) + 1e-12
-    if not (half_level - tol <= best.energy.total <= line_level + tol):
+    ok, line_level, half_level, _ = verify.energy_sandwich(model, mu, best.energy.total)
+    if not ok:
         logger.warning(
             "ground-state energy %.6g outside the universal sandwich [%.6g, %.6g]",
             best.energy.total, half_level, line_level,
@@ -768,12 +760,13 @@ def scan_mass_threshold(
     """Empirical probe of the mass threshold: solve at each grid mass and
     record the first with an interior minimizer.  A mass whose solve raises
     ``SolveError`` is ``not-converged``, with the error's message as its
-    entry of ``reasons``.  ``jobs`` is accepted for
-    callers that still pass it (the benchmark does) and ignored: the masses
-    are solved serially."""
+    entry of ``reasons``; a bad grid raises ``SolveError`` before any solve.
+    ``jobs`` is accepted for callers that still pass it (the benchmark does)
+    and ignored: the masses are solved serially."""
     grid = list(mu_grid)
-    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise SolveError("mass grid must be nonempty and strictly increasing")
+    increasing = all(a < b for a, b in zip(grid, grid[1:]))
+    if not (grid and increasing and all(_positive_finite(mu) for mu in grid)):
+        raise SolveError(f"mass grid {grid} must be nonempty, strictly increasing, finite and > 0")
 
     def run(mu):
         try:

@@ -1,12 +1,12 @@
 """A-posteriori checks on computed bound states.
 
-Residuals are measured in the discretization the solver actually works in:
-the weak residual r = K u - n(u) + lambda M u, split into interior rows
-(stationary equation on open edges) and vertex rows (flux balance).  The
-interior part is reported as a strong-form L2 norm, the vertex part as the
-worst flux imbalance.  When no multiplier is supplied the vertex check
-falls back to one-sided three-point derivative stencils, which is the
-natural diagnostic for functions that were not produced by the solver.
+Every residual the package reports is a norm of one row vector, the weak
+residual r = K u - n(u) + lambda M u that ``residual_rows`` forms: the
+solver's convergence norm is the strong-form L2 norm over all rows plus the
+mass defect, ``el_residual`` the strong-form norm over the interior rows
+(stationary equation on open edges), ``kirchhoff_residual`` the largest
+vertex row (flux balance).  Without a multiplier the vertex check falls back
+to one-sided three-point derivative stencils, for hand-built functions.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import functional as fn
-from .mesh import GraphFunction, argmax
+from .mesh import GraphFunction, Mesh, argmax
 from .soliton import SolitonModel, energy_levels, gn_sharp_constant
 
 
@@ -26,15 +26,31 @@ class VerifyError(ValueError):
     """Raised for malformed verification requests."""
 
 
+def residual_rows(mesh: Mesh, x: np.ndarray, lam: float, p: float):
+    """(r, M x) for the weak Euler-Lagrange residual r = K x - n(x) + lam M x
+    at real nodal values x, one row per dof."""
+    Mx = mesh.mass_matrix @ x
+    return fn.grad_energy(GraphFunction(mesh, x), p) + lam * Mx, Mx
+
+
+def strong_norm(mesh: Mesh, r: np.ndarray, rows=slice(None)) -> float:
+    """Strong-form norm sqrt(sum r_i^2 / m_i) over the selected rows, m the lumped mass."""
+    return math.sqrt(float(np.sum(r[rows] ** 2 / mesh.lumped_mass[rows])))
+
+
+def residual_norms(u: GraphFunction, lam: float, p: float) -> tuple[float, float]:
+    """(``el_residual``, ``kirchhoff_residual``) of u at lam, from one residual vector."""
+    mesh = u.mesh
+    r, _ = residual_rows(mesh, np.real(u.values).astype(float), lam, p)
+    vertex = float(np.max(np.abs(r[mesh.vertex_dofs]))) if mesh.ndof else 0.0
+    return strong_norm(mesh, r, mesh.interior_mask), vertex
+
+
 def el_residual(u: GraphFunction, lam: float, p: float) -> float:
     """Strong-form L2 norm of the stationary-equation residual on the open
     edges: sqrt(sum_i r_i^2 / h_i) over interior rows of
     r = K u - n(u) + lambda M u."""
-    mesh = u.mesh
-    v = np.real(u.values).astype(float)
-    r = fn.grad_energy(GraphFunction(mesh, v), p) + lam * (mesh.mass_matrix @ v)
-    mask = mesh.interior_mask
-    return math.sqrt(float(np.sum(r[mask] ** 2 / mesh.lumped_mass[mask])))
+    return residual_norms(u, lam, p)[0]
 
 
 def kirchhoff_residual(
@@ -48,14 +64,12 @@ def kirchhoff_residual(
     outgoing one-sided three-point derivative estimates, a purely geometric
     check suited to hand-built functions.
     """
-    mesh = u.mesh
     if lam is not None:
         if p is None:
             raise VerifyError("p is required when lam is given")
-        v = np.real(u.values).astype(float)
-        r = fn.grad_energy(GraphFunction(mesh, v), p) + lam * (mesh.mass_matrix @ v)
-        return float(np.max(np.abs(r[mesh.vertex_dofs]))) if mesh.ndof else 0.0
+        return residual_norms(u, lam, p)[1]
 
+    mesh = u.mesh
     sums = {vtx: 0.0 for vtx in mesh.graph.vertices}
     for em in mesh.edge_meshes:
         vals = np.real(u.edge_values(em.edge_id)).astype(float)
@@ -81,6 +95,18 @@ def localization_margin(u: GraphFunction, edge_id: str) -> float:
     vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
     on = mesh.node_edge == mesh.edge_index(edge_id)
     return float(np.max(vals[on])) - float(np.max(vals[~on], initial=0.0))
+
+
+# share of |line level| by which the energy sandwich is broadened
+SANDWICH_RTOL = 1e-3
+
+
+def energy_sandwich(model: SolitonModel, mu: float, energy: float):
+    """(ok, line, half, tol): whether ``energy`` is in the universal sandwich
+    [half, line] at mass mu broadened by tol = SANDWICH_RTOL |line| + 1e-12."""
+    line, half = energy_levels(model, mu)
+    tol = SANDWICH_RTOL * abs(line) + 1e-12
+    return bool(half - tol <= energy <= line + tol), line, half, tol
 
 
 @dataclass
@@ -111,7 +137,7 @@ class VerificationReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def certify(report, model: SolitonModel, rel_tol: float = 1e-3) -> VerificationReport:
+def certify(report, model: SolitonModel) -> VerificationReport:
     """Run the analytic certificates against a solve report.
 
     Checks: strict positivity of the nodal values away from truncated ends,
@@ -138,13 +164,12 @@ def certify(report, model: SolitonModel, rel_tol: float = 1e-3) -> VerificationR
     mask[mesh.node_dof[tail]] = False
     positive = bool(np.all(vals[mask] > 1e-12 * peak) and np.all(vals[~mask] >= 0.0))
 
-    line, half = energy_levels(model, mu)
-    tol = rel_tol * abs(line) + 1e-12
     energy = report.energy.total
+    in_sandwich, line, half, tol = energy_sandwich(model, mu, energy)
     is_ground_claim = bool(
         getattr(report, "ground_claim", False) or getattr(report, "edge", None) is None
     )
-    sandwich_ok = bool(half - tol <= energy <= line + tol) if is_ground_claim else None
+    sandwich_ok = in_sandwich if is_ground_claim else None
 
     _, preimage_n = fn.preimage_count(u, [0.5 * peak])
     preimage_n = max(preimage_n, 1)

@@ -1,6 +1,6 @@
 """Package hygiene: no module imports a name it never uses, every import
-sits at module level, and importing the package loads only the sparse parts
-of scipy."""
+sits at module level, importing the package loads only the sparse parts of
+scipy, and one function forms the Euler-Lagrange residual."""
 
 import ast
 import os
@@ -60,6 +60,42 @@ def test_checker_flags_a_function_import():
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
+
+
+def grad_energy_users(source: str) -> list[str]:
+    """Functions in ``source`` that read the name ``grad_energy`` (a call,
+    or a reference by name or attribute), each under its innermost
+    enclosing function; ``<module>`` for a read outside any function."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) == "grad_energy":
+                found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_checker_flags_grad_energy_users():
+    src = (
+        "from . import functional as fn\nfrom .functional import grad_energy\n\n"
+        "def grad_energy_free(u):\n    return u\n\n"
+        "def f(u):\n    def g():\n        return fn.grad_energy(u, 4.0)\n    return g\n\n"
+        "def h(u):\n    return grad_energy(u, 4.0)\n\nalias = fn.grad_energy\n"
+    )
+    assert grad_energy_users(src) == ["<module>", "g", "h"]
+
+
+def test_only_residual_rows_forms_the_residual():
+    # the solver's convergence norm, el_residual and kirchhoff_residual all
+    # read the one row vector verify.residual_rows forms
+    users = [f"{p.stem}.{name}" for p in ALL_MODULES for name in grad_energy_users(p.read_text())]
+    assert users == ["verify.residual_rows"]
 
 
 def test_import_loads_no_scipy_quadrature_optimize_or_special():

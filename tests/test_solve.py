@@ -652,3 +652,11 @@ def test_scan_rejects_bad_grid():
         scan_mass_threshold(g, "e", 4.0, [1.0, 1.0, 2.0], CFG)
     with pytest.raises(SolveError):
         scan_mass_threshold(g, "e", 4.0, [], CFG)
+
+
+@pytest.mark.parametrize("grid", [[math.nan], [-1.0, 2.0], [0.0, 1.0], [1.0, math.inf]])
+def test_scan_rejects_a_grid_mass_that_is_not_positive_and_finite(grid):
+    # refused up front with the scan's own error, not by the first solve
+    # (NaN compares false both ways, so an order check alone lets it pass)
+    with pytest.raises(SolveError, match="finite and > 0"):
+        scan_mass_threshold(double_bridge_graph(0.3), "e", 4.0, grid, CFG)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from graphnls.graphs import double_bridge_graph, halfline_graph, line_graph, star_graph
+from graphnls import verify
+from graphnls.graphs import (
+    double_bridge_graph,
+    example_graph,
+    halfline_graph,
+    line_graph,
+    star_graph,
+)
 from graphnls.mesh import build_mesh, interpolate, place_profile
 from graphnls.solve import SolveConfig, ground_state, minimize_on_edge
 from graphnls.soliton import make_model, soliton_profile
@@ -19,6 +26,50 @@ def bridge_report():
     return minimize_on_edge(
         double_bridge_graph(1.0), "e", 8.0, 4.0, SolveConfig(h=0.02, truncation=8.0)
     )
+
+
+@pytest.fixture(scope="module")
+def ex3_report():
+    return minimize_on_edge(example_graph(3), "e", 10.0, 4.0, SolveConfig(h=0.01, truncation=6.0))
+
+
+@pytest.fixture(scope="module")
+def halfline_ground():
+    return ground_state(halfline_graph(), 2.0, 4.0, SolveConfig(h=0.01))
+
+
+@pytest.mark.parametrize("name, edge", [("ex3_report", "e"), ("halfline_ground", None)])
+def test_report_residuals_are_the_public_ones(request, name, edge):
+    # a constrained solve and a free-descent report take both residuals
+    # from one vector; they equal the public functions bit for bit
+    rep = request.getfixturevalue(name)
+    assert rep.edge == edge
+    u, lam = rep.minimizer, rep.lam
+    assert rep.el_residual == el_residual(u, lam, rep.p)
+    assert rep.kirchhoff_residual == kirchhoff_residual(u, lam=lam, p=rep.p)
+
+
+@pytest.mark.parametrize("kind", ["interior", "vertex"])
+def test_el_and_kirchhoff_read_disjoint_rows(monkeypatch, bridge_report, kind):
+    # a spike in one interior row moves el_residual alone, a spike in one
+    # vertex row moves kirchhoff_residual alone
+    u, lam = bridge_report.minimizer, bridge_report.lam
+    mesh = u.mesh
+    rows = mesh.vertex_dofs if kind == "vertex" else np.flatnonzero(mesh.interior_mask)
+    row = rows[rows.size // 2]
+    before = (el_residual(u, lam, 4.0), kirchhoff_residual(u, lam=lam, p=4.0))
+    real = verify.residual_rows
+
+    def spiked(mesh, x, lam, p):
+        r, Mx = real(mesh, x, lam, p)
+        r[row] += 1e-3
+        return r, Mx
+
+    monkeypatch.setattr(verify, "residual_rows", spiked)
+    after = (el_residual(u, lam, 4.0), kirchhoff_residual(u, lam=lam, p=4.0))
+    moved = 1 if kind == "vertex" else 0
+    assert after[moved] > before[moved] + 1e-4
+    assert after[1 - moved] == before[1 - moved]
 
 
 def test_el_residual_small_for_solver_output(bridge_report):
@@ -94,9 +145,8 @@ def test_certify_interior_bound_state(bridge_report):
     assert doc["all_ok"] is True
 
 
-def test_certify_ground_state_sandwich():
-    rep = ground_state(halfline_graph(), 2.0, 4.0, SolveConfig(h=0.01))
-    ver = certify(rep, make_model(4.0))
+def test_certify_ground_state_sandwich(halfline_ground):
+    ver = certify(halfline_ground, make_model(4.0))
     assert ver.sandwich_ok is True
     assert ver.positive
     assert ver.all_ok
