@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from . import functional as fn
@@ -127,8 +126,9 @@ def evolve(
         G = (0.5 * p) * mesh.lumped_mass * np.abs(u) ** (p - 2.0)
     if not np.all(np.isfinite(G)):
         raise EvolveError("non-finite values at step 0; the state blew up")
-    J = (1j / dt - 0.5 * omega) * M - 0.5 * K + sp.diags(0.5 * G)
-    solver = splu(J.tocsc())
+    J = (1j / dt - 0.5 * omega) * M.data - 0.5 * K.data
+    J[mesh.diagonal_slots] += 0.5 * G
+    solver = splu(mesh.stencil_matrix(J, "csc"))
     times = np.zeros(n_steps + 1)
     masses = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
@@ -229,7 +229,7 @@ def smoothed_perturbation(mesh: Mesh, seed: int = 0) -> np.ndarray:
     through (K + M)^{-1}."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof)
-    smooth = splu((mesh.stiffness_matrix + mesh.mass_matrix).tocsc())
+    smooth = splu(mesh.stencil_matrix(mesh.stiffness_matrix.data + mesh.mass_matrix.data, "csc"))
     v = smooth.solve(smooth.solve(raw.real)) + 1j * smooth.solve(smooth.solve(raw.imag))
     norm = math.sqrt(float(np.real(_h1_product(mesh, v, v))))
     return v / norm

@@ -117,7 +117,8 @@ def simpson_load(rule: tuple, f_nodes: np.ndarray, f_mids: np.ndarray) -> np.nda
 
 def nonlinear_jacobian(u: GraphFunction, p: float) -> sp.csr_matrix:
     """Derivative of ``nonlinear_term`` with respect to the nodal values
-    (real functions only; used by the Newton refinement)."""
+    (real functions only; used by the Newton refinement), on the mesh's
+    stencil pattern."""
     _check_p(p)
     h = u.mesh.el_h
     a, b = u.mesh.element_values(u.values)

@@ -66,6 +66,14 @@ class Mesh:
     edge_halfline: np.ndarray = field(init=False, repr=False)
     vertex_dofs: np.ndarray = field(init=False, repr=False)      # sorted
     interior_mask: np.ndarray = field(init=False, repr=False)    # not a vertex dof
+    # the sparsity pattern of the P1 stencil, shared (read-only) by every
+    # matrix on it: its column indices and row pointers, the data slot of
+    # every entry of the element blocks that ``element_matrix`` stacks (nnz
+    # for an entry on the fixed zero), and the slot of every diagonal entry
+    stencil_indices: np.ndarray = field(init=False, repr=False)
+    stencil_indptr: np.ndarray = field(init=False, repr=False)
+    element_slots: np.ndarray = field(init=False, repr=False)
+    diagonal_slots: np.ndarray = field(init=False, repr=False)
     mass_matrix: sp.csr_matrix = field(init=False, repr=False)
     stiffness_matrix: sp.csr_matrix = field(init=False, repr=False)
     lumped_mass: np.ndarray = field(init=False, repr=False)
@@ -118,17 +126,43 @@ class Mesh:
         out = np.bincount(self.el_left, wa, n) + np.bincount(self.el_right, wb, n)
         return out[:-1]
 
+    def stencil_matrix(self, data: np.ndarray, fmt: str = "csr"):
+        """The matrix with entries ``data`` on the stencil pattern, as CSR or
+        (``fmt="csc"``, for ``splu``) CSC.  The pattern and every matrix
+        assembled on it are symmetric, so one set of arrays reads either
+        way, and matrices on the pattern combine by their ``data``."""
+        cls = sp.csc_matrix if fmt == "csc" else sp.csr_matrix
+        shape = (self.ndof, self.ndof)
+        return cls((data, self.stencil_indices, self.stencil_indptr), shape=shape)
+
     def element_matrix(self, waa, wbb, wab) -> sp.csr_matrix:
-        """Sum of the symmetric element blocks [[waa, wab], [wab, wbb]]."""
+        """Sum of the symmetric element blocks [[waa, wab], [wab, wbb]],
+        each entry added into its slot of the stencil pattern, in element
+        order."""
+        vals = np.concatenate([waa, wbb, wab, wab])
+        nnz = self.stencil_indices.size
+        return self.stencil_matrix(np.bincount(self.element_slots, vals, nnz + 1)[:-1])
+
+    def _stencil_pattern(self) -> None:
+        n = self.ndof
         a, b = self.el_left, self.el_right
         rows = np.concatenate([a, b, a, b])
         cols = np.concatenate([a, b, b, a])
-        vals = np.concatenate([waa, wbb, wab, wab])
-        keep = (rows < self.ndof) & (cols < self.ndof)
-        shape = (self.ndof, self.ndof)
-        return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+        keep = (rows < n) & (cols < n)
+        entries, slots = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        self.element_slots = np.full(rows.size, entries.size)
+        self.element_slots[keep] = slots
+        row, col = np.divmod(entries, n)
+        self.diagonal_slots = np.flatnonzero(row == col)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+        # the index type SuperLU takes, so that no factorization copies them
+        self.stencil_indices = col.astype(np.int32)
+        self.stencil_indptr = indptr.astype(np.int32)
+        for arr in (self.stencil_indices, self.stencil_indptr):
+            arr.flags.writeable = False
 
     def _assemble(self) -> None:
+        self._stencil_pattern()
         h = self.el_h
         self.mass_matrix = self.element_matrix(h / 3.0, h / 3.0, h / 6.0)
         self.stiffness_matrix = self.element_matrix(1.0 / h, 1.0 / h, -1.0 / h)
@@ -146,18 +180,31 @@ class Mesh:
         self.simpson_rule = (P, P.T, self.scatter(h / 6.0, h / 6.0), 2.0 * h / 3.0)
 
 
+def truncation_length(
+    h: float, trunc: Union[float, str] = "auto", lambda_est: Optional[float] = None
+) -> float:
+    """The halfline truncation length ``build_mesh`` uses: ``trunc`` itself,
+    or for "auto" max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x)
+    tails are negligible at the far end."""
+    if trunc == "auto":
+        lam = lambda_est if lambda_est else 0.16
+        return max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lam))
+    L = float(trunc)
+    if not 0.0 < L < math.inf:
+        raise MeshError(f"truncation length {L} is not positive and finite")
+    if L < 10 * h:
+        raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
+    return L
+
+
 def build_mesh(
     g: MetricGraph,
     h: float,
     trunc: Union[float, str] = "auto",
     lambda_est: Optional[float] = None,
 ) -> Mesh:
-    """Build a glued P1 mesh with target spacing ``h``.
-
-    ``trunc`` is the halfline truncation length; "auto" selects
-    max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x) tails are
-    negligible at the far end.
-    """
+    """Build a glued P1 mesh with target spacing ``h`` and the halfline
+    truncation length ``truncation_length(h, trunc, lambda_est)``."""
     if not 0.0 < h < math.inf:
         raise MeshError(f"mesh spacing h={h} is not positive and finite")
     ell = g.shortest_bounded_length
@@ -165,15 +212,7 @@ def build_mesh(
         raise MeshError(
             f"mesh too coarse: h={h} but the shortest bounded edge has length {ell}"
         )
-    if trunc == "auto":
-        lam = lambda_est if lambda_est else 0.16
-        L = max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lam))
-    else:
-        L = float(trunc)
-        if not 0.0 < L < math.inf:
-            raise MeshError(f"truncation length {L} is not positive and finite")
-        if L < 10 * h:
-            raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
+    L = truncation_length(h, trunc, lambda_est)
 
     vertex_dof = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)

@@ -24,7 +24,15 @@ from scipy.sparse.linalg import splu
 from . import functional as fn
 from . import verify
 from .graphs import MetricGraph, classify_edges
-from .mesh import GraphFunction, Mesh, argmax, build_mesh, interpolate, place_profile
+from .mesh import (
+    GraphFunction,
+    Mesh,
+    argmax,
+    build_mesh,
+    interpolate,
+    place_profile,
+    truncation_length,
+)
 from .soliton import (
     SolitonError,
     SolitonModel,
@@ -167,7 +175,7 @@ def _resolve_mesh(
 def _stationarity_residual(mesh, x, mults, mu, p, w=None):
     """Residual of K u - n(u) + lam M u [+ nu w] = 0, (u^T M u - mu)/2 = 0
     [, w . u = 0] at mults = (lam,) or (lam, nu): (F1, border residuals,
-    norm), the pin term scaled by the strong-form norm of w."""
+    norm, M u), the pin term scaled by the strong-form norm of w."""
     F1, Mx = verify.residual_rows(mesh, x, mults[0], p)
     Fb = [0.5 * (float(x @ Mx) - mu)]
     pin = 0.0
@@ -175,7 +183,7 @@ def _stationarity_residual(mesh, x, mults, mu, p, w=None):
         F1 = F1 + mults[1] * w
         Fb.append(float(w @ x))
         pin = abs(Fb[1]) / (math.sqrt(float(np.sum(w * w * mesh.lumped_mass))) or 1.0)
-    return F1, np.array(Fb), verify.strong_norm(mesh, F1) + abs(Fb[0]) + pin
+    return F1, np.array(Fb), verify.strong_norm(mesh, F1) + abs(Fb[0]) + pin, Mx
 
 
 def _bordered_solve(H, B, f, g):
@@ -224,14 +232,14 @@ def _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=None):
     K = mesh.stiffness_matrix
     x = np.array(x0, dtype=float)
     mults = np.array([lam] if w is None else [lam, 0.0])
-    F1, Fb, res = _stationarity_residual(mesh, x, mults, mu, p, w)
+    F1, Fb, res, Mx = _stationarity_residual(mesh, x, mults, mu, p, w)
     weak = 0
     for _ in range(max_iter):
         if res <= tol:
             break
         W = fn.nonlinear_jacobian(GraphFunction(mesh, x), p)
-        H = (K - W + mults[0] * M).tocsc()
-        B = np.column_stack([M @ x] if w is None else [M @ x, w])
+        H = mesh.stencil_matrix(K.data - W.data + mults[0] * M.data, "csc")
+        B = np.column_stack([Mx] if w is None else [Mx, w])
         try:
             dx, dm = _bordered_solve(H, B, -F1, -Fb)
         except (RuntimeError, np.linalg.LinAlgError):
@@ -239,10 +247,10 @@ def _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=None):
         t = 1.0
         for _ in range(20):
             xn, mn = x + t * dx, mults + t * dm
-            F1n, Fbn, rn = _stationarity_residual(mesh, xn, mn, mu, p, w)
+            F1n, Fbn, rn, Mxn = _stationarity_residual(mesh, xn, mn, mu, p, w)
             if rn < res:
                 weak = weak + 1 if rn > STALL_RATIO * res else 0
-                x, mults, F1, Fb, res = xn, mn, F1n, Fbn, rn
+                x, mults, F1, Fb, res, Mx = xn, mn, F1n, Fbn, rn, Mxn
                 break
             t *= 0.5
         else:
@@ -462,7 +470,7 @@ def _descend(
 
     it = _iterate_at(mesh, x, p)
     shift = max(residual(it)[1], lam_line)
-    precond = splu((K + shift * M).tocsc())
+    precond = splu(mesh.stencil_matrix(K.data + shift * M.data, "csc"))
 
     e_now = fn.energy(GraphFunction(mesh, x), p).total
     step = 0.5
@@ -530,7 +538,7 @@ def _descend(
         # the far tails sit at float-noise scale where Newton may leave
         # tiny negative values; fold them back (energy and mass unchanged)
         x, lam = np.abs(xn), lamn
-        _, _, res = _stationarity_residual(mesh, x, (lam,), mu, p)
+        res = _stationarity_residual(mesh, x, (lam,), mu, p)[2]
     else:
         res = verify.strong_norm(mesh, r)
     converged = res <= tol
@@ -758,7 +766,8 @@ def scan_mass_threshold(
     jobs: int = 1,
 ) -> ThresholdReport:
     """Empirical probe of the mass threshold: solve at each grid mass and
-    record the first with an interior minimizer.  A mass whose solve raises
+    record the first with an interior minimizer.  Masses whose meshes have
+    the same truncation length share one mesh.  A mass whose solve raises
     ``SolveError`` is ``not-converged``, with the error's message as its
     entry of ``reasons``; a bad grid raises ``SolveError`` before any solve.
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
@@ -767,10 +776,15 @@ def scan_mass_threshold(
     increasing = all(a < b for a, b in zip(grid, grid[1:]))
     if not (grid and increasing and all(_positive_finite(mu) for mu in grid)):
         raise SolveError(f"mass grid {grid} must be nonempty, strictly increasing, finite and > 0")
+    model = make_model(p)
+    meshes = {}   # by truncation length, the only part of a mesh that depends on mu
 
     def run(mu):
         try:
-            rep = minimize_on_edge(g, edge_id, mu, p, cfg)
+            L = truncation_length(cfg.h, cfg.truncation, model.lambda_for_mass(mu))
+            if L not in meshes:
+                meshes[L] = _resolve_mesh(g, cfg, model, mu)
+            rep = minimize_on_edge(g, edge_id, mu, p, cfg, mesh=meshes[L])
             return rep.status, rep.energy.total, None
         except SolveError as exc:
             return "not-converged", float("nan"), str(exc)

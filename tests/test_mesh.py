@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphnls import functional as fn
 from graphnls.graphs import (
@@ -292,6 +293,57 @@ def test_table_reads_match_per_edge_loops(graph):
                 _pin_vector_per_edge(mesh, em.edge_id, 4.0, lam, c),
             )
     assert outcomes == {True, False}
+
+
+def _coo_element_matrix(mesh, waa, wbb, wab):
+    """Reference assembly of the element blocks [[waa, wab], [wab, wbb]]:
+    COO triplets without the fixed zero, summed by the CSR conversion."""
+    a, b = mesh.el_left, mesh.el_right
+    rows = np.concatenate([a, b, a, b])
+    cols = np.concatenate([a, b, b, a])
+    vals = np.concatenate([waa, wbb, wab, wab])
+    keep = (rows < mesh.ndof) & (cols < mesh.ndof)
+    shape = (mesh.ndof, mesh.ndof)
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+
+
+@pytest.mark.parametrize(
+    "graph, trunc",
+    [
+        (example_graph(1), 2.0),   # a self-loop and a triple edge
+        (example_graph(3), 6.0),
+        (double_bridge_graph(0.3), 30.0),
+        (halfline_graph(), 20.0),   # the fixed zero at the truncated end
+    ],
+    ids=["example1", "example3", "double-bridge", "halfline"],
+)
+def test_stencil_assembly_matches_coo_assembly(graph, trunc):
+    mesh = build_mesh(graph, h=0.02, trunc=trunc)
+    h = mesh.el_h
+    x = np.random.default_rng(7).uniform(0.0, 1.0, mesh.ndof)
+    a, b = mesh.element_values(x)
+    dfa, dfb, dfm = (3.0 * v**2 for v in (a, b, 0.5 * (a + b)))   # p = 4
+    W = fn.nonlinear_jacobian(GraphFunction(mesh, x), 4.0)
+    M, K = mesh.mass_matrix, mesh.stiffness_matrix
+    for got, want in (
+        (M, _coo_element_matrix(mesh, h / 3.0, h / 3.0, h / 6.0)),
+        (K, _coo_element_matrix(mesh, 1.0 / h, 1.0 / h, -1.0 / h)),
+        (W, _coo_element_matrix(mesh, h / 6.0 * (dfa + dfm), h / 6.0 * (dfb + dfm), h / 6.0 * dfm)),
+    ):
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        # one pattern, shared rather than copied
+        assert np.shares_memory(got.indices, mesh.stencil_indices)
+        assert np.shares_memory(got.indptr, mesh.stencil_indptr)
+    lam = 0.7
+    H = mesh.stencil_matrix(K.data - W.data + lam * M.data, "csc")
+    want = (K - W + lam * M).tocsc()
+    assert H.format == "csc"
+    for arr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(H, arr), getattr(want, arr))
+    assert np.array_equal(mesh.stencil_indices[mesh.diagonal_slots], np.arange(mesh.ndof))
+    assert np.array_equal(K.data[mesh.diagonal_slots], K.diagonal())
 
 
 def test_graph_function_to_dict_roundtrips_values():

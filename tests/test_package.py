@@ -1,6 +1,7 @@
 """Package hygiene: no module imports a name it never uses, every import
 sits at module level, importing the package loads only the sparse parts of
-scipy, and one function forms the Euler-Lagrange residual."""
+scipy, one function forms the Euler-Lagrange residual, and sparse matrices
+are assembled only in ``mesh``."""
 
 import ast
 import os
@@ -96,6 +97,48 @@ def test_only_residual_rows_forms_the_residual():
     # read the one row vector verify.residual_rows forms
     users = [f"{p.stem}.{name}" for p in ALL_MODULES for name in grad_energy_users(p.read_text())]
     assert users == ["verify.residual_rows"]
+
+
+# the ways to build a sparse matrix other than filling the mesh's stencil
+# pattern: a COO assembly, a format conversion, a diagonal matrix
+ASSEMBLY_NAMES = ("coo_matrix", "tocsr", "tocsc", "diags")
+
+
+def assembly_uses(source: str) -> list[str]:
+    """``name (line n)`` for every import, name or attribute in ``source``
+    that is one of ``ASSEMBLY_NAMES``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ASSEMBLY_NAMES:
+            found.add(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_assembly_outside_the_pattern():
+    src = (
+        "import scipy.sparse as sp\nfrom scipy.sparse import coo_matrix\n\n"
+        "def f(M, K, g):\n    A = (K + M).tocsc()\n    B = sp.diags(g)\n"
+        "    return A, B, coo_matrix(B).tocsr(), M.tocoo(), sp.csc_matrix(A)\n"
+    )
+    assert assembly_uses(src) == [
+        "coo_matrix (line 2)", "coo_matrix (line 7)", "diags (line 6)",
+        "tocsc (line 5)", "tocsr (line 7)",
+    ]
+
+
+def test_only_mesh_assembles_sparse_matrices():
+    # every matrix outside mesh.py is a sum of .data arrays on the stencil
+    # pattern, wrapped by Mesh.stencil_matrix
+    uses = {p.stem: assembly_uses(p.read_text()) for p in ALL_MODULES if p.name != "mesh.py"}
+    assert {stem: found for stem, found in uses.items() if found} == {}
 
 
 def test_import_loads_no_scipy_quadrature_optimize_or_special():

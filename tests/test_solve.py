@@ -639,6 +639,41 @@ def test_scan_mass_threshold_transitions():
     assert report.reasons == [None, None, None]
 
 
+def _counting_build_mesh(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(build_mesh(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(solve_module, "build_mesh", counted)
+    return built
+
+
+SCAN_GRID = [0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
+
+
+def test_scan_builds_one_mesh_per_truncation_length(monkeypatch):
+    built = _counting_build_mesh(monkeypatch)
+    g = double_bridge_graph(0.3)
+    scan_mass_threshold(g, "e", 4.0, SCAN_GRID, SolveConfig(h=0.02, truncation=30.0))
+    assert [m.truncation for m in built] == [30.0]
+    # "auto" truncates at max(20, 32 / mu) for p = 4: every mu >= 2 shares L = 20
+    built.clear()
+    scan_mass_threshold(g, "e", 4.0, [0.5, 1.0, 2.0, 5.0, 10.0, 50.0], SolveConfig(h=0.05))
+    assert [m.truncation for m in built] == [64.0, 32.0, 20.0]
+
+
+def test_scan_with_shared_meshes_matches_separate_solves():
+    g = double_bridge_graph(0.3)
+    cfg = SolveConfig(h=0.02, truncation=30.0)
+    report = scan_mass_threshold(g, "e", 4.0, SCAN_GRID, cfg)
+    solves = [minimize_on_edge(g, "e", mu, 4.0, cfg) for mu in SCAN_GRID]
+    assert report.statuses == [r.status for r in solves]
+    assert report.energies == [r.energy.total for r in solves]
+    assert {"escaped", "interior"} <= set(report.statuses)
+
+
 def test_scan_keeps_the_reason_a_mass_failed():
     # at p = 5 the mass-100 soliton is far narrower than h = 0.02
     report = scan_mass_threshold(double_bridge_graph(0.3), "e", 5.0, [100.0], SolveConfig(h=0.02))
