@@ -1,9 +1,15 @@
 """Command-line entry point.
 
-Subcommands: validate, solve, catalogue, ground, scan, verify, evolve,
-example.  Exit codes: 0 success, 1 usage error, 2 numerical failure.
-Reports are JSON documents embedding a run manifest; --csv writes plotting
-series (x, u per edge for states; mass, status, energy for scans).
+Subcommands: validate, example, and the solver subcommands solve,
+catalogue, ground, scan, verify and evolve.  A solver subcommand is a
+function of the parsed arguments that returns its report document and its
+CSV rows (None when it has none); ``run`` alone adds the run manifest,
+writes the report to --out (default stdout) and the rows to --csv, and maps
+errors to exit codes: 0 success, 1 usage error (bad flags, a malformed graph
+document, a path that cannot be read or written), 2 numerical failure.
+--csv is taken by solve, ground, verify and evolve, which write the state's
+(edge, x, u) series, and by scan, which writes its (mass, status, energy)
+table; catalogue has no single state and takes no --csv.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import math
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +52,11 @@ from .verify import certify
 from .evolve import EvolveError, check_time_grid, stability_probe
 
 _BUILTIN = {
-    "line": lambda: line_graph(),
-    "halfline": lambda: halfline_graph(),
-    "star": lambda: star_graph(),
-    "double-bridge": lambda: double_bridge_graph(),
-    "example1": lambda: example_graph(1),
-    "example2": lambda: example_graph(2),
-    "example3": lambda: example_graph(3),
-    "example4": lambda: example_graph(4),
+    "line": line_graph,
+    "halfline": halfline_graph,
+    "star": star_graph,
+    "double-bridge": double_bridge_graph,
+    **{f"example{n}": partial(example_graph, n) for n in (1, 2, 3, 4)},
 }
 
 
@@ -65,79 +69,46 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _resolve_graph(arg: str) -> MetricGraph:
-    if arg in _BUILTIN:
-        return _BUILTIN[arg]()
-    path = Path(arg)
-    if path.exists():
-        return load_graph(path)
-    if arg.lstrip().startswith("{"):
-        return load_graph(arg)
-    raise GraphError(f"graph {arg!r}: not a file, builtin name, or JSON document")
-
-
-def _manifest(argv, args, t0) -> dict:
-    return {
-        "command": " ".join(argv),
-        "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "wall_time": round(time.monotonic() - t0, 3),
-    }
-
-
-def _emit(doc: dict, out):
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
+def _graph(args) -> MetricGraph:
+    """The graph ``args.graph`` names (builtin name, file path or JSON
+    document), its --edge checked where the subcommand takes one: an
+    unknown edge is an error before any work."""
+    if args.graph in _BUILTIN:
+        g = _BUILTIN[args.graph]()
+    elif args.graph.lstrip().startswith("{") or Path(args.graph).exists():
+        g = load_graph(args.graph)
     else:
-        print(text)
+        raise GraphError(f"graph {args.graph!r}: not a file, builtin name, or JSON document")
+    if "edge" in args:
+        g.edge(args.edge)
+    return g
 
 
-def _write_state_csv(path: str, u) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["edge", "x", "u"])
-        for em in u.mesh.edge_meshes:
-            vals = u.edge_values(em.edge_id)
-            for x, v in zip(em.coords, vals):
-                w.writerow([em.edge_id, repr(float(x)), repr(float(abs(v)))])
+def _state_rows(u):
+    """The (edge, x, u) series of a state under its header, one row per mesh node."""
+    yield ["edge", "x", "u"]
+    for em in u.mesh.edge_meshes:
+        for x, v in zip(em.coords, u.edge_values(em.edge_id)):
+            yield [em.edge_id, repr(float(x)), repr(float(abs(v)))]
 
 
-def _number_in(text: str, lo: float, hi: float, what: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        x = math.nan
-    if not (lo < x < hi):
-        raise argparse.ArgumentTypeError(f"{what} {text!r} is not a number in ({lo:g}, {hi:g})")
-    return x
+def _number(what: str, lo: float = 0.0, hi: float = math.inf):
+    """Parser of a number in (lo, hi), named ``what`` in its error message."""
 
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not (lo < x < hi):
+            raise argparse.ArgumentTypeError(f"{what} {text!r} is not a number in ({lo:g}, {hi:g})")
+        return x
 
-def _mass(text: str) -> float:
-    return _number_in(text, 0.0, math.inf, "mass")
-
-
-def _spacing(text: str) -> float:
-    return _number_in(text, 0.0, math.inf, "h")
-
-
-def _tolerance(text: str) -> float:
-    return _number_in(text, 0.0, math.inf, "tolerance")
+    return parse
 
 
 def _truncation(text: str):
-    return text if text == "auto" else _number_in(text, 0.0, math.inf, "truncation")
-
-
-def _exponent(text: str) -> float:
-    return _number_in(text, 2.0, 6.0, "p")
-
-
-def _finite(text: str) -> float:
-    return _number_in(text, -math.inf, math.inf, "value")
+    return text if text == "auto" else _number("truncation")(text)
 
 
 def _count(what: str, least: int = 1):
@@ -156,114 +127,45 @@ def _count(what: str, least: int = 1):
 
 
 def _config(args) -> SolveConfig:
-    return SolveConfig(
-        grad_tol=args.tol,
-        max_iter=args.max_iter,
-        h=args.h,
-        truncation=args.trunc,
-    )
+    return SolveConfig(grad_tol=args.tol, max_iter=args.max_iter, h=args.h, truncation=args.trunc)
 
 
-def _add_solver_flags(
-    p: argparse.ArgumentParser, need_edge: bool = False, need_mass: bool = True
-):
-    p.add_argument("--graph", required=True, help="path, builtin name, or JSON document")
-    if need_edge:
-        p.add_argument("--edge", required=True, help="bounded edge id")
-    if need_mass:
-        p.add_argument("--mass", type=_mass, required=True)
-    p.add_argument("--p", type=_exponent, default=4.0)
-    p.add_argument("--h", type=_spacing, default=0.01)
-    p.add_argument("--trunc", type=_truncation, default="auto")
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument("--max-iter", type=_count("max-iter"), default=400)
-    p.add_argument("--out", default=None, help="report destination (default stdout)")
-    p.add_argument("--csv", default=None, help="write per-edge (x, u) series here")
+def _cmd_solve(args):
+    report = minimize_on_edge(_graph(args), args.edge, args.mass, args.p, _config(args))
+    return report.to_dict(), _state_rows(report.minimizer)
 
 
-def _cmd_validate(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    nb = len(g.bounded_edges)
-    nh = len(g.halflines)
-    print(f"{nb} bounded edges, {nh} halflines")
-    return 0
+def _cmd_ground(args):
+    report = ground_state(_graph(args), args.mass, args.p, _config(args))
+    return report.to_dict(), _state_rows(report.minimizer)
 
 
-def _cmd_example(args, argv, t0) -> int:
-    g = example_graph(args.n)
-    _emit(g.to_dict(), args.out)
-    return 0
+def _cmd_catalogue(args):
+    reports = bound_state_catalogue(_graph(args), args.mass, args.p, _config(args))
+    return {"entries": [r.to_dict(include_function=False) for r in reports]}, None
 
 
-def _cmd_solve(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    g.edge(args.edge)  # unknown edge -> usage error before any work
-    report = minimize_on_edge(g, args.edge, args.mass, args.p, _config(args))
-    doc = report.to_dict()
-    doc["manifest"] = _manifest(argv, args, t0)
-    _emit(doc, args.out)
-    if args.csv:
-        _write_state_csv(args.csv, report.minimizer)
-    return 0
-
-
-def _cmd_ground(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    report = ground_state(g, args.mass, args.p, _config(args))
-    doc = report.to_dict()
-    doc["manifest"] = _manifest(argv, args, t0)
-    _emit(doc, args.out)
-    if args.csv:
-        _write_state_csv(args.csv, report.minimizer)
-    return 0
-
-
-def _cmd_catalogue(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    reports = bound_state_catalogue(g, args.mass, args.p, _config(args))
-    doc = {
-        "entries": [r.to_dict(include_function=False) for r in reports],
-        "manifest": _manifest(argv, args, t0),
-    }
-    _emit(doc, args.out)
-    return 0
-
-
-def _cmd_scan(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    g.edge(args.edge)
+def _cmd_scan(args):
+    g = _graph(args)
     try:
-        grid = [_mass(tok) for tok in args.masses.split(",") if tok.strip()]
+        grid = [_number("mass")(tok) for tok in args.masses.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"bad --masses list: {exc}")
     report = scan_mass_threshold(g, args.edge, args.p, grid, _config(args))
-    doc = report.to_dict()
-    doc["manifest"] = _manifest(argv, args, t0)
-    _emit(doc, args.out)
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["mass", "status", "energy"])
-            for mu, s, e in zip(report.mu_grid, report.statuses, report.energies):
-                w.writerow([repr(mu), s, repr(e)])
-    return 0
+    table = zip(report.mu_grid, report.statuses, report.energies)
+    rows = [["mass", "status", "energy"]] + [[repr(mu), s, repr(e)] for mu, s, e in table]
+    return report.to_dict(), rows
 
 
-def _cmd_verify(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    g.edge(args.edge)
-    report = minimize_on_edge(g, args.edge, args.mass, args.p, _config(args))
+def _cmd_verify(args):
+    report = minimize_on_edge(_graph(args), args.edge, args.mass, args.p, _config(args))
     verification = certify(report, make_model(args.p))
-    doc = report.to_dict(include_function=False)
-    doc["verify"] = verification.to_dict()
-    doc["manifest"] = _manifest(argv, args, t0)
-    _emit(doc, args.out)
-    return 0
+    doc = {**report.to_dict(include_function=False), "verify": verification.to_dict()}
+    return doc, _state_rows(report.minimizer)
 
 
-def _cmd_evolve(args, argv, t0) -> int:
-    g = _resolve_graph(args.graph)
-    g.edge(args.edge)
+def _cmd_evolve(args):
+    g = _graph(args)
     try:
         check_time_grid(args.t_final, args.dt)
     except EvolveError as exc:
@@ -272,11 +174,45 @@ def _cmd_evolve(args, argv, t0) -> int:
     probe = stability_probe(
         report, args.epsilon, args.t_final, args.dt, seed=args.seed, stride=args.stride
     )
-    doc = report.to_dict(include_function=False)
-    doc["stability"] = probe.to_dict()
-    doc["manifest"] = _manifest(argv, args, t0)
-    _emit(doc, args.out)
-    return 0
+    doc = {**report.to_dict(include_function=False), "stability": probe.to_dict()}
+    return doc, _state_rows(report.minimizer)
+
+
+# flags every solver subcommand takes
+_SHARED = [
+    ("--graph", dict(required=True, help="path, builtin name, or JSON document")),
+    ("--p", dict(type=_number("p", 2.0, 6.0), default=4.0)),
+    ("--h", dict(type=_number("h"), default=0.01)),
+    ("--trunc", dict(type=_truncation, default="auto")),
+    ("--tol", dict(type=_number("tolerance"), default=1e-8)),
+    ("--max-iter", dict(type=_count("max-iter"), default=400)),
+    ("--out", dict(default=None, help="report destination (default stdout)")),
+]
+_EDGE = ("--edge", dict(required=True, help="bounded edge id"))
+_MASS = ("--mass", dict(type=_number("mass"), required=True))
+_CSV = ("--csv", dict(default=None, help="write the state's (edge, x, u) series here"))
+_FINITE = _number("value", -math.inf)
+
+# subcommand: (help, handler, flags beyond the shared ones)
+_SOLVERS = {
+    "solve": ("constrained minimization on one edge", _cmd_solve, [_EDGE, _MASS, _CSV]),
+    "ground": ("ground-state search", _cmd_ground, [_MASS, _CSV]),
+    "catalogue": ("one bound state per bounded edge", _cmd_catalogue, [_MASS]),
+    "scan": ("mass-threshold scan on one edge", _cmd_scan, [
+        _EDGE,
+        ("--masses", dict(required=True, help="comma-separated increasing masses")),
+        ("--csv", dict(default=None, help="write the (mass, status, energy) table here")),
+    ]),
+    "verify": ("solve on one edge and certify the result", _cmd_verify, [_EDGE, _MASS, _CSV]),
+    "evolve": ("solve on one edge, perturb, and evolve", _cmd_evolve, [
+        _EDGE, _MASS, _CSV,
+        ("--epsilon", dict(type=_FINITE, default=1e-2)),
+        ("--t-final", dict(type=_FINITE, default=10.0)),
+        ("--dt", dict(type=_FINITE, default=1e-3)),
+        ("--stride", dict(type=_count("stride"), default=10)),
+        ("--seed", dict(type=_count("seed", least=0), default=0)),
+    ]),
+}
 
 
 def _build_parser() -> _Parser:
@@ -286,56 +222,52 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("validate", help="load a graph and report its shape")
     sp.add_argument("graph", help="path, builtin name, or JSON document")
-    sp.set_defaults(func=_cmd_validate)
 
     sp = sub.add_parser("example", help="emit a built-in example graph")
     sp.add_argument("n", type=int, choices=(1, 2, 3, 4))
     sp.add_argument("--out", default=None)
-    sp.set_defaults(func=_cmd_example)
 
-    sp = sub.add_parser("solve", help="constrained minimization on one edge")
-    _add_solver_flags(sp, need_edge=True)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("ground", help="ground-state search")
-    _add_solver_flags(sp)
-    sp.set_defaults(func=_cmd_ground)
-
-    sp = sub.add_parser("catalogue", help="one bound state per bounded edge")
-    _add_solver_flags(sp)
-    sp.set_defaults(func=_cmd_catalogue)
-
-    sp = sub.add_parser("scan", help="mass-threshold scan on one edge")
-    _add_solver_flags(sp, need_edge=True, need_mass=False)
-    sp.add_argument("--masses", required=True, help="comma-separated increasing masses")
-    sp.set_defaults(func=_cmd_scan)
-
-    sp = sub.add_parser("verify", help="solve on one edge and certify the result")
-    _add_solver_flags(sp, need_edge=True)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("evolve", help="solve on one edge, perturb, and evolve")
-    _add_solver_flags(sp, need_edge=True)
-    sp.add_argument("--epsilon", type=_finite, default=1e-2)
-    sp.add_argument("--t-final", type=_finite, default=10.0)
-    sp.add_argument("--dt", type=_finite, default=1e-3)
-    sp.add_argument("--stride", type=_count("stride"), default=10)
-    sp.add_argument("--seed", type=_count("seed", least=0), default=0)
-    sp.set_defaults(func=_cmd_evolve)
-
+    for name, (help_text, _, flags) in _SOLVERS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _SHARED + flags:
+            sp.add_argument(flag, **kwargs)
     return p
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     t0 = time.monotonic()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args, argv, t0)
+        args = _build_parser().parse_args(argv)
+        if args.subcommand == "validate":
+            g = _graph(args)
+            print(f"{len(g.bounded_edges)} bounded edges, {len(g.halflines)} halflines")
+            return 0
+        if args.subcommand == "example":
+            doc, rows = example_graph(args.n).to_dict(), None
+        else:
+            doc, rows = _SOLVERS[args.subcommand][1](args)
+            doc["manifest"] = {
+                "command": " ".join(argv),
+                "config": dict(sorted(vars(args).items())),
+                "version": __version__,
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "wall_time": round(time.monotonic() - t0, 3),
+            }
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
+        if rows is not None and args.csv:
+            with open(args.csv, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        return 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (GraphError, MeshError) as exc:
+    except (GraphError, MeshError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolveError, SolitonError, EvolveError) as exc:

@@ -144,7 +144,10 @@ def load_graph(doc: Union[str, Path, Mapping]) -> MetricGraph:
         except (OSError, ValueError):
             # e.g. a JSON document long enough to overflow the path limit
             is_file = False
-        text = Path(doc).read_text() if is_file else str(doc)
+        try:
+            text = Path(doc).read_text() if is_file else str(doc)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphError(f"cannot read graph file {str(doc)!r}: {exc}") from exc
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -153,25 +156,21 @@ def load_graph(doc: Union[str, Path, Mapping]) -> MetricGraph:
         data = doc
     try:
         vertices = tuple(str(v) for v in data["vertices"])
-        raw_edges = data["edges"]
+        raw_edges = list(data["edges"])
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
     edges = []
     for item in raw_edges:
+        # only the reading of fields is guarded: Edge's own GraphError passes unchanged
         try:
-            if item.get("halfline"):
-                edges.append(Edge(id=str(item["id"]), src=str(item["from"])))
-            else:
-                edges.append(
-                    Edge(
-                        id=str(item["id"]),
-                        src=str(item["from"]),
-                        dst=str(item["to"]),
-                        length=float(item["length"]),
-                    )
-                )
+            fields = {"id": str(item["id"]), "src": str(item["from"])}
+            if not item.get("halfline"):
+                fields.update(dst=str(item["to"]), length=float(item["length"]))
         except KeyError as exc:
             raise GraphError(f"edge entry missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise GraphError(f"malformed edge entry {item!r}: {exc}") from exc
+        edges.append(Edge(**fields))
     return MetricGraph(vertices=vertices, edges=tuple(edges), name=str(data.get("name", "")))
 
 

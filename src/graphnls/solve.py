@@ -451,9 +451,10 @@ def _descend(
     Newton polish gives up when it stalls: ``STALL_STEPS`` accepted steps
     in a row that each cut the residual by less than 10 %.
 
-    Returns (u, lambda, residual, iterations, converged, left_edge) where
+    Returns (u, lambda, residual, iterations, converged, left_edge, r) where
     ``left_edge`` reports that the argmax drifted off ``monitor_edge`` and
-    stayed off.
+    stayed off, and r is the residual row vector of ``verify.residual_rows``
+    at the returned (u, lambda).
     """
     M = mesh.mass_matrix
     K = mesh.stiffness_matrix
@@ -538,11 +539,11 @@ def _descend(
         # the far tails sit at float-noise scale where Newton may leave
         # tiny negative values; fold them back (energy and mass unchanged)
         x, lam = np.abs(xn), lamn
-        res = _stationarity_residual(mesh, x, (lam,), mu, p)[2]
+        r, _, res, _ = _stationarity_residual(mesh, x, (lam,), mu, p)
     else:
         res = verify.strong_norm(mesh, r)
     converged = res <= tol
-    return GraphFunction(mesh, x), lam, res, iterations, converged, left_edge
+    return GraphFunction(mesh, x), lam, res, iterations, converged, left_edge, r
 
 
 def _branch_vertex_distance(mesh: Mesh, edge_id: str, coord: float) -> float:
@@ -598,9 +599,12 @@ def _classify(
     return "interior", margin, m_loss, top_edge
 
 
-def _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left_edge, edge_id):
+def _finish_report(mesh, descent, mu, p, cfg, edge_id):
+    """The report of one ``_descend`` result, its residual norms read from
+    the row vector the descent returns."""
+    u, lam, _, iters, converged, left_edge, r = descent
     status, margin, m_loss, _ = _classify(mesh, u, lam, mu, edge_id, converged, left_edge)
-    el, kirchhoff = verify.residual_norms(u, lam, p)
+    el, kirchhoff = verify.row_norms(mesh, r)
     return SolveReport(
         minimizer=u,
         energy=fn.energy(u, p),
@@ -658,8 +662,8 @@ def minimize_on_edge(
             length / 2.0,
         )
         u0 = project_mass(u0, mu)
-    u, lam, _, iters, converged, left = _descend(mesh, u0, mu, p, cfg, monitor_edge=edge_id)
-    return _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left, edge_id)
+    descent = _descend(mesh, u0, mu, p, cfg, monitor_edge=edge_id)
+    return _finish_report(mesh, descent, mu, p, cfg, edge_id)
 
 
 def bound_state_catalogue(
@@ -721,12 +725,10 @@ def ground_state(
 
     for u0 in _halfline_starts(mesh, model, mu):
         try:
-            u, lam, _, iters, converged, left = _descend(mesh, u0, mu, p, cfg)
+            descent = _descend(mesh, u0, mu, p, cfg)
         except SolveError:
             continue
-        candidates.append(
-            _finish_report(mesh, u, lam, mu, p, cfg, iters, converged, left, None)
-        )
+        candidates.append(_finish_report(mesh, descent, mu, p, cfg, None))
 
     converged = [r for r in candidates if r.converged]
     if not converged:

@@ -38,12 +38,16 @@ def strong_norm(mesh: Mesh, r: np.ndarray, rows=slice(None)) -> float:
     return math.sqrt(float(np.sum(r[rows] ** 2 / mesh.lumped_mass[rows])))
 
 
-def residual_norms(u: GraphFunction, lam: float, p: float) -> tuple[float, float]:
-    """(``el_residual``, ``kirchhoff_residual``) of u at lam, from one residual vector."""
-    mesh = u.mesh
-    r, _ = residual_rows(mesh, np.real(u.values).astype(float), lam, p)
+def row_norms(mesh: Mesh, r: np.ndarray) -> tuple[float, float]:
+    """(``el_residual``, ``kirchhoff_residual``) of the residual rows r."""
     vertex = float(np.max(np.abs(r[mesh.vertex_dofs]))) if mesh.ndof else 0.0
     return strong_norm(mesh, r, mesh.interior_mask), vertex
+
+
+def residual_norms(u: GraphFunction, lam: float, p: float) -> tuple[float, float]:
+    """(``el_residual``, ``kirchhoff_residual``) of u at lam, from one residual vector."""
+    r, _ = residual_rows(u.mesh, np.real(u.values).astype(float), lam, p)
+    return row_norms(u.mesh, r)
 
 
 def el_residual(u: GraphFunction, lam: float, p: float) -> float:

@@ -1,10 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from graphnls.cli import _build_parser, run
+from graphnls.graphs import double_bridge_graph
+from graphnls.solve import SolveConfig, minimize_on_edge
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def read_json(path):
@@ -283,3 +291,73 @@ def test_seed_is_an_evolve_flag_only(argv, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "--seed" in err
+
+
+def _malformed_inputs(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    missing = str(tmp_path / "no-such-dir" / "x")
+    return [
+        ["validate", '{"vertices":["a"],"edges":[5]}'],
+        ["validate", '{"vertices":["a"],"edges":5}'],
+        ["validate", '{"vertices":["a"],"edges":[{"id":"e","from":"a","to":"a","length":"abc"}]}'],
+        ["validate", '{"vertices":["a"],"edges":[{"id":"e","from":"a","to":"a","length":null}]}'],
+        ["validate", str(tmp_path)],
+        ["validate", str(binary)],
+        ["example", "1", "--out", missing],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "50", "--h", "0.05",
+         "--trunc", "5", "--out", str(tmp_path / "s.json"), "--csv", missing],
+    ]
+
+
+def test_malformed_graphs_and_unwritable_paths_exit_1_with_one_line(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in _malformed_inputs(tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphnls.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv, header",
+    [
+        (["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "8"], ["edge", "x", "u"]),
+        (["ground", "--graph", "halfline", "--mass", "2"], ["edge", "x", "u"]),
+        (["verify", "--graph", "double-bridge", "--edge", "e", "--mass", "8"], ["edge", "x", "u"]),
+        (["evolve", "--graph", "double-bridge", "--edge", "e", "--mass", "8",
+          "--t-final", "0.02", "--dt", "0.01"], ["edge", "x", "u"]),
+        (["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "50"],
+         ["mass", "status", "energy"]),
+    ],
+    ids=["solve", "ground", "verify", "evolve", "scan"],
+)
+def test_csv_is_written_by_every_subcommand_that_takes_it(tmp_path, argv, header):
+    series = tmp_path / "out.csv"
+    coarse = ["--h", "0.05", "--trunc", "5", "--out", str(tmp_path / "r.json")]
+    assert run(argv + coarse + ["--csv", str(series)]) == 0
+    with open(series) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == header and len(rows) > 1
+
+
+def test_catalogue_takes_no_csv(tmp_path, capsys):
+    argv = ["catalogue", "--graph", "double-bridge", "--mass", "8", "--csv", str(tmp_path / "c")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not (tmp_path / "c").exists()
+
+
+def test_verify_document_is_the_solve_report_plus_certificates(tmp_path):
+    out = tmp_path / "v.json"
+    flags = ["--h", "0.05", "--trunc", "5", "--out", str(out)]
+    assert run(["verify", "--graph", "double-bridge", "--edge", "e", "--mass", "8"] + flags) == 0
+    doc = read_json(out)
+    assert {"verify", "manifest"} <= set(doc)
+    rest = {k: v for k, v in doc.items() if k not in ("verify", "manifest")}
+    cfg = SolveConfig(h=0.05, truncation=5.0)
+    report = minimize_on_edge(double_bridge_graph(), "e", 8.0, 4.0, cfg)
+    assert rest == json.loads(json.dumps(report.to_dict(include_function=False)))

@@ -98,6 +98,31 @@ def test_load_graph_rejects_garbage():
         load_graph('{"edges": []}')
 
 
+_HALFLINE = {"id": "h", "from": "a", "halfline": True}
+_BAD_EDGES = {
+    "edge entry not an object": [5, _HALFLINE],
+    "edges not a list": 5,
+    "length not a number": [{"id": "e", "from": "a", "to": "a", "length": "abc"}, _HALFLINE],
+    "length null": [{"id": "e", "from": "a", "to": "a", "length": None}, _HALFLINE],
+}
+
+
+@pytest.mark.parametrize("edges", _BAD_EDGES.values(), ids=_BAD_EDGES.keys())
+def test_load_graph_malformed_edges_are_graph_errors(edges):
+    # each document is a valid graph but for its malformed edge field
+    with pytest.raises(GraphError, match="malformed"):
+        load_graph(json.dumps({"vertices": ["a"], "edges": edges}))
+
+
+def test_load_graph_unreadable_file_is_graph_error(tmp_path):
+    with pytest.raises(GraphError, match="cannot read graph file"):
+        load_graph(tmp_path)
+    binary = tmp_path / "g.json"
+    binary.write_bytes(b"\xff\xfe{")
+    with pytest.raises(GraphError, match="cannot read graph file"):
+        load_graph(binary)
+
+
 def test_normalize_merges_degree_two():
     g = MetricGraph(
         vertices=("a", "b", "c", "d"),

@@ -312,7 +312,7 @@ def _descents_that_leave(monkeypatch):
 
     def leaving_descent(mesh, u0, mu, p, cfg, monitor_edge=None):
         starts.append(u0.values.copy())
-        return project_mass(u0, mu), 1.0, 1.0, 0, False, True
+        return project_mass(u0, mu), 1.0, 1.0, 0, False, True, np.zeros(u0.mesh.ndof)
 
     def spy_competitor(model, mu, eps, *args, **kwargs):
         eps_seen.append(eps)
