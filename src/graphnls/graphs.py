@@ -103,6 +103,9 @@ class MetricGraph:
 
 
 def _validate(g: MetricGraph) -> None:
+    if len(set(g.vertices)) != len(g.vertices):
+        repeated = sorted({v for v in g.vertices if g.vertices.count(v) > 1})
+        raise GraphError(f"repeated vertex names {repeated}")
     seen = set()
     for e in g.edges:
         if e.id in seen:
@@ -163,8 +166,11 @@ def load_graph(doc: Union[str, Path, Mapping]) -> MetricGraph:
     for item in raw_edges:
         # only the reading of fields is guarded: Edge's own GraphError passes unchanged
         try:
-            fields = {"id": str(item["id"]), "src": str(item["from"])}
+            # a halfline's length stays as given, for Edge to reject
+            fields = {"id": str(item["id"]), "src": str(item["from"]), "length": item.get("length")}
             if not item.get("halfline"):
+                if isinstance(item["length"], bool):
+                    raise TypeError("a boolean is not a length")
                 fields.update(dst=str(item["to"]), length=float(item["length"]))
         except KeyError as exc:
             raise GraphError(f"edge entry missing field {exc}") from exc

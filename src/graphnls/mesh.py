@@ -6,6 +6,9 @@ Halflines are truncated at a finite length with a homogeneous Dirichlet
 condition at the far end (bound states decay, so the truncation length is
 the accuracy knob).  Kirchhoff vertex conditions are never imposed
 strongly: they are the natural conditions of the assembled quadratic form.
+The vertex dofs come first, then each edge's interior dofs in order along
+the edge, so every stencil matrix is a tridiagonal chain over the interior
+dofs bordered by the vertex dofs, the split that ``Mesh.factor`` uses.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .graphs import MetricGraph
 
@@ -74,6 +78,13 @@ class Mesh:
     stencil_indptr: np.ndarray = field(init=False, repr=False)
     element_slots: np.ndarray = field(init=False, repr=False)
     diagonal_slots: np.ndarray = field(init=False, repr=False)
+    # the split that ``factor`` uses: the chain's sub-diagonal as (position,
+    # slot), counted from the first interior dof, and the vertex-interior
+    # couplings (interior row counted likewise) and the vertex block as
+    # (row, column, slot)
+    chain_entries: tuple = field(init=False, repr=False)
+    coupling_entries: tuple = field(init=False, repr=False)
+    vertex_entries: tuple = field(init=False, repr=False)
     mass_matrix: sp.csr_matrix = field(init=False, repr=False)
     stiffness_matrix: sp.csr_matrix = field(init=False, repr=False)
     lumped_mass: np.ndarray = field(init=False, repr=False)
@@ -126,14 +137,70 @@ class Mesh:
         out = np.bincount(self.el_left, wa, n) + np.bincount(self.el_right, wb, n)
         return out[:-1]
 
-    def stencil_matrix(self, data: np.ndarray, fmt: str = "csr"):
-        """The matrix with entries ``data`` on the stencil pattern, as CSR or
-        (``fmt="csc"``, for ``splu``) CSC.  The pattern and every matrix
-        assembled on it are symmetric, so one set of arrays reads either
-        way, and matrices on the pattern combine by their ``data``."""
+    def stencil_matrix(self, data: np.ndarray, fmt: str = "csr", border=None):
+        """The matrix A with entries ``data`` on the stencil pattern, as CSR
+        or (``fmt="csc"``, for ``splu``; ``factor`` is the faster solver on
+        this pattern) CSC.  The pattern and every matrix assembled on it are
+        symmetric, so one set of arrays reads either way, and matrices on
+        the pattern combine by their ``data``.  With k columns ``border`` B,
+        the bordered matrix [[A, B], [B^T, 0]] instead."""
         cls = sp.csc_matrix if fmt == "csc" else sp.csr_matrix
         shape = (self.ndof, self.ndof)
-        return cls((data, self.stencil_indices, self.stencil_indptr), shape=shape)
+        A = cls((data, self.stencil_indices, self.stencil_indptr), shape=shape)
+        if border is None:
+            return A
+        return sp.bmat([[A, border], [border.T, None]], format=fmt)
+
+    def factor(self, data: np.ndarray, border=None):
+        """Factor [[A, B], [B^T, 0]] for the stencil matrix A with entries
+        ``data`` and the k columns ``border`` B (k = 0 when None), and
+        return ``solve(f, g=()) -> (x, m)`` for the right-hand side [f; g].
+
+        The interior dofs form a tridiagonal chain, factored by LAPACK
+        ``?gttrf``; the vertex dofs and B form one border of width nv + k,
+        eliminated through its dense Schur complement (Keller's bordering,
+        Govaerts, Numerical Methods for Bifurcations of Dynamical
+        Equilibria, SIAM 2000).  Real or complex symmetric (transposes, not
+        adjoints) by the dtype of ``data`` and B.  The chain cannot pivot
+        across a vertex, so this raises LinAlgError when the chain or the
+        Schur complement is exactly singular, whether or not the whole
+        matrix is."""
+        nv = self.vertex_dofs.size
+        B = np.zeros((self.ndof, 0)) if border is None else border
+        dtype = np.result_type(data, B)
+        gttrf, gttrs, getrf, getrs = get_lapack_funcs(
+            ("gttrf", "gttrs", "getrf", "getrs"), dtype=dtype
+        )
+        pos, slots = self.chain_entries
+        off = np.zeros(self.ndof - nv - 1, dtype)
+        off[pos] = data[slots]
+        dl, d, du, du2, ipiv, info = gttrf(off, data[self.diagonal_slots[nv:]], off)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"interior chain singular at dof {nv + info - 1}")
+
+        # E: the border's interior rows, D: its own block
+        nb = nv + B.shape[1]
+        E = np.zeros((self.ndof - nv, nb), dtype, order="F")
+        rows, cols, slots = self.coupling_entries
+        E[rows, cols] = data[slots]
+        E[:, nv:] = B[nv:]
+        D = np.zeros((nb, nb), dtype)
+        rows, cols, slots = self.vertex_entries
+        D[rows, cols] = data[slots]
+        D[:nv, nv:] = B[:nv]
+        D[nv:, :nv] = B[:nv].T
+        Z = gttrs(dl, d, du, du2, ipiv, E)[0]
+        lu, piv, info = getrf(D - E.T @ Z)
+        if info > 0:
+            raise np.linalg.LinAlgError("bordered Schur complement singular")
+
+        def solve(f, g=()):
+            y = gttrs(dl, d, du, du2, ipiv, f[nv:])[0]
+            z = getrs(lu, piv, np.concatenate([f[:nv], g]) - E.T @ y)[0]
+            y -= Z @ z
+            return np.concatenate([z[:nv], y]), z[nv:]
+
+        return solve
 
     def element_matrix(self, waa, wbb, wab) -> sp.csr_matrix:
         """Sum of the symmetric element blocks [[waa, wab], [wab, wbb]],
@@ -154,6 +221,13 @@ class Mesh:
         self.element_slots[keep] = slots
         row, col = np.divmod(entries, n)
         self.diagonal_slots = np.flatnonzero(row == col)
+        nv = self.vertex_dofs.size
+        chain = (row == col + 1) & (col >= nv)
+        coupling = (row >= nv) & (col < nv)
+        vertex = (row < nv) & (col < nv)
+        self.chain_entries = (col[chain] - nv, np.flatnonzero(chain))
+        self.coupling_entries = (row[coupling] - nv, col[coupling], np.flatnonzero(coupling))
+        self.vertex_entries = (row[vertex], col[vertex], np.flatnonzero(vertex))
         indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
         # the index type SuperLU takes, so that no factorization copies them
         self.stencil_indices = col.astype(np.int32)

@@ -186,30 +186,40 @@ def _stationarity_residual(mesh, x, mults, mu, p, w=None):
     return F1, np.array(Fb), verify.strong_norm(mesh, F1) + abs(Fb[0]) + pin, Mx
 
 
-def _bordered_solve(H, B, f, g):
-    """Solve [[H, B], [B^T, 0]] [x; m] = [f; g] for k border columns B by
-    Keller's bordering algorithm (Govaerts, Numerical Methods for
-    Bifurcations of Dynamical Equilibria, SIAM 2000): factor the sparse H
-    alone, eliminate the border through the k x k Schur complement
-    B^T H^-1 B, then take two refinement steps on the full system: H can be
-    nearly singular along the translation mode, where the plain elimination
-    loses digits.  Raises RuntimeError (H singular) or LinAlgError (Schur
-    complement singular)."""
-    lu = splu(H)
-    Z = lu.solve(B)
-    S = B.T @ Z
+# a chain solve whose backward error exceeds this, about a hundred unit
+# roundoffs, lost digits to a small pivot; on the solver's Newton systems
+# the chain solves measured below 1e-16
+BACKWARD_ERROR = 1e-14
 
-    def eliminate(f, g):
-        y = lu.solve(f)
-        m = np.linalg.solve(S, B.T @ y - g)
-        return y - Z @ m, m
 
-    x, m = eliminate(f, g)
-    for _ in range(2):
-        dx, dm = eliminate(f - H @ x - B @ m, g - B.T @ x)
-        x += dx
-        m += dm
-    return x, m
+def _bordered_solve(mesh, data, B, f, g):
+    """Solve [[H, B], [B^T, 0]] [x; m] = [f; g] for the stencil matrix H
+    with entries ``data`` and k border columns B: Keller's bordering on the
+    mesh's chain factorization (``Mesh.factor``), then two refinement steps
+    on the full system, since H can be nearly singular along the translation
+    mode, where the plain elimination loses digits.  The chain cannot pivot
+    across a vertex, so when it or the border's Schur complement is
+    singular, or the refined solution's normwise backward error (the
+    bordered matrix in the Frobenius norm) exceeds ``BACKWARD_ERROR``,
+    SuperLU factors the full bordered matrix instead.  Raises RuntimeError
+    when that is singular too."""
+    n = f.size
+    rhs = np.concatenate([f, g])
+    try:
+        solve = mesh.factor(data, B)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        H = mesh.stencil_matrix(data)
+        z, r = 0.0, rhs
+        for _ in range(3):
+            z = z + np.concatenate(solve(r[:n], r[n:]))
+            r = rhs - np.concatenate([H @ z[:n] + B @ z[n:], B.T @ z[:n]])
+        norm_A = math.sqrt(np.sum(data * data) + 2.0 * np.sum(B * B))
+        if np.linalg.norm(r) <= BACKWARD_ERROR * (np.linalg.norm(rhs) + norm_A * np.linalg.norm(z)):
+            return z[:n], z[n:]
+    z = splu(mesh.stencil_matrix(data, "csc", border=B)).solve(rhs)
+    return z[:n], z[n:]
 
 
 # Newton gives up after this many accepted steps in a row that each cut
@@ -238,11 +248,10 @@ def _bordered_newton(mesh, x0, lam, mu, p, tol, max_iter, w=None):
         if res <= tol:
             break
         W = fn.nonlinear_jacobian(GraphFunction(mesh, x), p)
-        H = mesh.stencil_matrix(K.data - W.data + mults[0] * M.data, "csc")
         B = np.column_stack([Mx] if w is None else [Mx, w])
         try:
-            dx, dm = _bordered_solve(H, B, -F1, -Fb)
-        except (RuntimeError, np.linalg.LinAlgError):
+            dx, dm = _bordered_solve(mesh, K.data - W.data + mults[0] * M.data, B, -F1, -Fb)
+        except RuntimeError:
             return x, mults, res, False
         t = 1.0
         for _ in range(20):
@@ -438,7 +447,8 @@ def _descend(
 
     The preconditioner is K + s M with s the larger of the start's
     multiplier and the line soliton's at mass mu (the multiplier the descent
-    heads for), factored once; the mesh must resolve that soliton
+    heads for), factored once by the mesh's chain factorization
+    (``Mesh.factor``); the mesh must resolve that soliton
     (``_resolved_multiplier``).  Each step pays one preconditioner solve and
     four sparse products (the gradient's P^T and K d, M d, P d); its first
     trial is the Barzilai-Borwein step measured in the metric of K + s M,
@@ -471,7 +481,7 @@ def _descend(
 
     it = _iterate_at(mesh, x, p)
     shift = max(residual(it)[1], lam_line)
-    precond = splu(mesh.stencil_matrix(K.data + shift * M.data, "csc"))
+    precond = mesh.factor(K.data + shift * M.data)
 
     e_now = fn.energy(GraphFunction(mesh, x), p).total
     step = 0.5
@@ -489,7 +499,7 @@ def _descend(
         if res <= switch_tol:
             break
 
-        d = precond.solve(r)
+        d = precond(r)[0]
         d = d - (float(d @ it.Mx) / mu) * it.x
 
         if prev is not None:

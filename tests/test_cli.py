@@ -216,6 +216,22 @@ def test_overflowing_edge_length_is_graph_error(capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"vertices": ["a"], "edges": [{"id": "e", "from": "a", "to": "a", "length": true},'
+        ' {"id": "h", "from": "a", "halfline": true}]}',
+        '{"vertices": ["a"], "edges": [{"id": "h", "from": "a", "halfline": true, "length": 3}]}',
+        '{"vertices": ["a", "a"], "edges": [{"id": "h", "from": "a", "halfline": true}]}',
+    ],
+    ids=["boolean-length", "halfline-length", "repeated-vertex"],
+)
+def test_validate_rejects_malformed_documents_with_one_line(doc, capsys):
+    assert run(["validate", doc]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "v.json"
     rc = run(

@@ -114,6 +114,29 @@ def test_load_graph_malformed_edges_are_graph_errors(edges):
         load_graph(json.dumps({"vertices": ["a"], "edges": edges}))
 
 
+# documents that once loaded without complaint, with what the error names
+_BAD_DOCUMENTS = {
+    "boolean length": (
+        {"vertices": ["a"], "edges": [{"id": "e", "from": "a", "to": "a", "length": True}, _HALFLINE]},
+        "boolean is not a length",
+    ),
+    "halfline length": (
+        {"vertices": ["a"], "edges": [{**_HALFLINE, "length": 3.0}]},
+        "must not carry a length",
+    ),
+    "repeated vertex": (
+        {"vertices": ["a", "a"], "edges": [_HALFLINE]},
+        r"repeated vertex names \['a'\]",
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, match", _BAD_DOCUMENTS.values(), ids=_BAD_DOCUMENTS.keys())
+def test_load_graph_rejects_boolean_lengths_halfline_lengths_and_repeated_vertices(doc, match):
+    with pytest.raises(GraphError, match=match):
+        load_graph(json.dumps(doc))
+
+
 def test_load_graph_unreadable_file_is_graph_error(tmp_path):
     with pytest.raises(GraphError, match="cannot read graph file"):
         load_graph(tmp_path)

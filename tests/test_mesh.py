@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from graphnls import functional as fn
 from graphnls.graphs import (
@@ -344,6 +345,59 @@ def test_stencil_assembly_matches_coo_assembly(graph, trunc):
         assert np.array_equal(getattr(H, arr), getattr(want, arr))
     assert np.array_equal(mesh.stencil_indices[mesh.diagonal_slots], np.arange(mesh.ndof))
     assert np.array_equal(K.data[mesh.diagonal_slots], K.diagonal())
+
+
+_FACTOR_GRAPHS = {
+    **{f"example{n}": example_graph(n) for n in (1, 2, 3, 4)},
+    "star": star_graph(3),
+    "line": line_graph(),
+    "halfline": halfline_graph(),
+    "double-bridge": double_bridge_graph(),
+}
+
+
+def _factor_case(graph, elements, kind, k):
+    """A mesh whose shortest bounded edges have ``elements`` elements, the
+    entries of one stencil matrix of ``kind`` on it, and k random border
+    columns (None for k = 0)."""
+    ell = graph.shortest_bounded_length or 1.0
+    # build_mesh takes ceil(length / h) elements, at least 2, and h < ell / 2
+    h = ell / 2.5 if elements == 3 else 0.5 * ell * (1.0 - 1e-13)
+    mesh = build_mesh(graph, h, trunc=12.0 * h)
+    rng = np.random.default_rng(k)
+    M, K = mesh.mass_matrix, mesh.stiffness_matrix
+    W = fn.nonlinear_jacobian(GraphFunction(mesh, rng.uniform(0.0, 3.0, mesh.ndof)), 4.0)
+    data = {
+        "spd": K.data + 2.0 * M.data,
+        "indefinite": K.data - W.data + M.data,
+        "complex": 20j * M.data - 0.5 * (K.data - W.data + M.data),   # a CN step, dt = 0.1
+    }[kind]
+    B = rng.standard_normal((mesh.ndof, k)) if k else None
+    if k and kind == "complex":
+        B = B + 1j * rng.standard_normal((mesh.ndof, k))
+    return mesh, data, B
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "complex"])
+@pytest.mark.parametrize("elements", [2, 3])
+@pytest.mark.parametrize("graph", _FACTOR_GRAPHS.values(), ids=_FACTOR_GRAPHS.keys())
+def test_factor_matches_superlu(graph, elements, kind, k):
+    mesh, data, B = _factor_case(graph, elements, kind, k)
+    sizes = {em.dofs.size - 1 for em in mesh.edge_meshes if not em.is_halfline}
+    assert not sizes or min(sizes) == elements
+    rng = np.random.default_rng(100 + k)
+    f = rng.standard_normal(mesh.ndof) + (1j * rng.standard_normal(mesh.ndof) if kind == "complex" else 0)
+    g = rng.standard_normal(k)
+    solve = mesh.factor(data, B)
+    x, m = solve(f, g) if k else solve(f)
+    assert x.shape == (mesh.ndof,) and m.shape == (k,)
+    A = mesh.stencil_matrix(data, "csc", border=B)
+    rhs = np.concatenate([f, g])
+    z = np.concatenate([x, m])
+    assert np.linalg.norm(A @ z - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    ref = splu(A).solve(rhs.astype(A.dtype))
+    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_graph_function_to_dict_roundtrips_values():

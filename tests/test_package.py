@@ -4,6 +4,8 @@ scipy, one function forms the Euler-Lagrange residual, and sparse matrices
 are assembled only in ``mesh``."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "graphnls"
+TRACER = SRC.parent.parent / "perfbench" / "tracer.py"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 ALL_MODULES = sorted(SRC.glob("*.py"))
 
@@ -153,3 +156,15 @@ def test_import_loads_no_scipy_quadrature_optimize_or_special():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # the traced benchmark run patches these names and fails on a missing one
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = [(module, attr) for module, attr, *_ in tracer._WRAPPED]
+    wrapped.append(("graphnls.evolve", "splu"))
+    missing = [f"{m}.{a}" for m, a in wrapped if not hasattr(importlib.import_module(m), a)]
+    assert missing == []
+    assert callable(importlib.import_module("graphnls.mesh").Mesh._assemble)

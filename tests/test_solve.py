@@ -4,7 +4,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh, splu
 
 from graphnls import functional as fn
@@ -407,24 +406,26 @@ def test_catalogue_needs_bounded_edges():
 
 @pytest.fixture(scope="module")
 def ex3_newton_system():
-    """Newton matrix H = K - W + lam M at the converged Example 3 state on
-    edge e, with the mass border M u and the translation pin w."""
+    """Entries of the Newton matrix H = K - W + lam M at the converged
+    Example 3 state on edge e, with the mass border M u and the translation
+    pin w."""
     rep = minimize_on_edge(example_graph(3), "e", 10.0, 4.0, SolveConfig(h=0.01, truncation=6.0))
     assert rep.converged
     u = rep.minimizer
     mesh = u.mesh
     x = np.real(u.values)
-    H = (mesh.stiffness_matrix - fn.nonlinear_jacobian(u, 4.0) + rep.lam * mesh.mass_matrix).tocsc()
+    W = fn.nonlinear_jacobian(u, 4.0)
+    data = mesh.stiffness_matrix.data - W.data + rep.lam * mesh.mass_matrix.data
     w = _translation_pin_vector(mesh, "e", 4.0, rep.lam, argmax(u)[1])
-    return rep, H, mesh.mass_matrix @ x, w
+    return rep, data, mesh.mass_matrix @ x, w
 
 
-def _check_bordered_solve(H, B, seed):
+def _check_bordered_solve(mesh, data, B, seed):
     rng = np.random.default_rng(seed)
-    f = rng.standard_normal(H.shape[0])
+    f = rng.standard_normal(mesh.ndof)
     g = rng.standard_normal(B.shape[1])
-    x, m = _bordered_solve(H, B, f, g)
-    A = sp.bmat([[H, B], [B.T, None]], format="csc")
+    x, m = _bordered_solve(mesh, data, B, f, g)
+    A = mesh.stencil_matrix(data, "csc", border=B)
     rhs = np.concatenate([f, g])
     z = np.concatenate([x, m])
     assert np.linalg.norm(A @ z - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -434,20 +435,60 @@ def _check_bordered_solve(H, B, seed):
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_bordered_solve_matches_assembled_system(ex3_newton_system, k):
-    _, H, Mu, w = ex3_newton_system
+    rep, data, Mu, w = ex3_newton_system
     B = np.column_stack([Mu, w][:k])
-    _check_bordered_solve(H, B, seed=k)
+    _check_bordered_solve(rep.minimizer.mesh, data, B, seed=k)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_bordered_solve_refines_nearly_singular_hessian(ex3_newton_system, k):
     # shift the eigenvalue of H nearest zero to 1e-8: without refinement
     # the bordered residual is then about 5e-8
-    _, H, Mu, w = ex3_newton_system
-    nearest = eigsh(H, k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
-    Hs = (H - (nearest - 1e-8) * sp.identity(H.shape[0])).tocsc()
+    rep, data, Mu, w = ex3_newton_system
+    mesh = rep.minimizer.mesh
+    nearest = eigsh(mesh.stencil_matrix(data), k=1, sigma=0.0, which="LM", return_eigenvectors=False)[0]
+    shifted = data.copy()
+    shifted[mesh.diagonal_slots] -= nearest - 1e-8
     B = np.column_stack([Mu, w][:k])
-    _check_bordered_solve(Hs, B, seed=10 + k)
+    _check_bordered_solve(mesh, shifted, B, seed=10 + k)
+
+
+def test_bordered_solve_uses_the_chain_factorization_on_newton_systems(ex3_newton_system, monkeypatch):
+    rep, data, Mu, w = ex3_newton_system
+    calls = []
+    monkeypatch.setattr(solve_module, "splu", lambda A: calls.append(A) or splu(A))
+    _check_bordered_solve(rep.minimizer.mesh, data, np.column_stack([Mu, w]), seed=3)
+    assert calls == []
+
+
+def _stencil_slot(mesh, r, c):
+    """The data slot of entry (r, c) of the stencil pattern."""
+    lo, hi = mesh.stencil_indptr[r], mesh.stencil_indptr[r + 1]
+    return lo + int(np.flatnonzero(mesh.stencil_indices[lo:hi] == c)[0])
+
+
+@pytest.mark.parametrize("pivot", [0.0, 1e-15])
+def test_bordered_solve_falls_back_to_superlu_when_the_chain_is_singular(pivot, monkeypatch):
+    # the first interior dof keeps only its vertex coupling and a diagonal
+    # entry ``pivot``: at 0 the chain is singular, at 1e-15 its elimination
+    # loses digits, though the bordered matrix is well conditioned either way
+    mesh = build_mesh(double_bridge_graph(0.3), h=0.05, trunc=3.0)
+    M, K = mesh.mass_matrix, mesh.stiffness_matrix
+    data = K.data + M.data
+    first = mesh.vertex_dofs.size
+    data[_stencil_slot(mesh, first, first)] = pivot
+    data[[_stencil_slot(mesh, first, first + 1), _stencil_slot(mesh, first + 1, first)]] = 0.0
+    B = (M @ np.ones(mesh.ndof))[:, None]
+    assert np.linalg.cond(mesh.stencil_matrix(data, border=B).toarray()) < 1e4
+    if pivot == 0.0:
+        with pytest.raises(np.linalg.LinAlgError, match="chain singular"):
+            mesh.factor(data, B)
+    else:
+        mesh.factor(data, B)   # factors; the refined solve fails the backward-error check
+    calls = []
+    monkeypatch.setattr(solve_module, "splu", lambda A: calls.append(A) or splu(A))
+    _check_bordered_solve(mesh, data, B, seed=4)
+    assert len(calls) == 1
 
 
 def test_newton_refine_keeps_converged_state(ex3_newton_system):
