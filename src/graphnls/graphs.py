@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Union
@@ -168,13 +169,19 @@ def load_graph(doc: Union[str, Path, Mapping]) -> MetricGraph:
         try:
             # a halfline's length stays as given, for Edge to reject
             fields = {"id": str(item["id"]), "src": str(item["from"]), "length": item.get("length")}
-            if not item.get("halfline"):
-                if isinstance(item["length"], bool):
+            halfline = item.get("halfline", False)
+            if not isinstance(halfline, bool):
+                raise TypeError(f"halfline {halfline!r} is not a boolean")
+            if not halfline:
+                length = item["length"]
+                if isinstance(length, bool):
                     raise TypeError("a boolean is not a length")
-                fields.update(dst=str(item["to"]), length=float(item["length"]))
+                if not isinstance(length, numbers.Real):
+                    raise TypeError(f"length {length!r} is not a number")
+                fields.update(dst=str(item["to"]), length=float(length))
         except KeyError as exc:
             raise GraphError(f"edge entry missing field {exc}") from exc
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed edge entry {item!r}: {exc}") from exc
         edges.append(Edge(**fields))
     return MetricGraph(vertices=vertices, edges=tuple(edges), name=str(data.get("name", "")))

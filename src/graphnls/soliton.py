@@ -86,7 +86,10 @@ class SolitonModel:
         """Multiplier of the line soliton with mass mu."""
         _check_positive(mu, "mass")
         k, gamma = _mass_law(self.p)
-        return (mu / k) ** (1.0 / gamma)
+        try:
+            return (mu / k) ** (1.0 / gamma)
+        except OverflowError:
+            raise SolitonError(f"mass {mu:g} is too large: its multiplier overflows") from None
 
     def mass_for_lambda(self, lam: float) -> float:
         """Mass of the line soliton with multiplier lam."""
@@ -288,14 +291,13 @@ def compact_competitor(
     eps: float,
     mesh: Mesh,
     edge_id: str,
-    terminal: bool = False,
 ) -> GraphFunction:
     """Mass-mu competitor supported on one bounded edge.
 
     (soliton - cut)+ at the cut level of ``_cut_fraction``, renormalized to
     mass mu on the mesh.  At mass mu the continuum profile has energy at
-    most -(1-eps) * theta_p * mu^(2 beta + 1); on a terminal edge the
-    half-soliton variant is used with its peak at the degree-one tip,
+    most -(1-eps) * theta_p * mu^(2 beta + 1); on a terminal edge (an end
+    of degree one) the half-soliton variant is used with its peak at the tip,
     reaching (1-eps) times the 2^(2 beta)-enhanced level.  The nodal
     interpolant only approaches that bound as h -> 0: on Example 2's
     terminal edge at mu = 50, eps = 0.1 it reaches 0.883 of the halfline
@@ -308,6 +310,9 @@ def compact_competitor(
     if em.is_halfline:
         raise SolitonError(f"edge {edge_id!r} is a halfline; competitors need a bounded edge")
     length = em.coords[-1]
+    e = mesh.graph.edge(edge_id)
+    tip_at_src = mesh.graph.degree(e.src) == 1
+    terminal = tip_at_src or mesh.graph.degree(e.dst) == 1
 
     lam = model.lambda_for_mass(2.0 * mu if terminal else mu)
     peak, B = _amplitude_width(model.p, lam)
@@ -327,13 +332,10 @@ def compact_competitor(
         return np.clip(f(x) - cut, 0.0, None)
 
     # place, then renormalize the *discrete* mass exactly
-    e = mesh.graph.edge(edge_id)
-    if terminal:
-        tip_at_src = mesh.graph.degree(e.src) == 1
-        if tip_at_src:
-            u = place_profile(mesh, edge_id, profile, 0.0)
-        else:
-            u = place_profile(mesh, edge_id, lambda x: profile(-x), length)
+    if tip_at_src:
+        u = place_profile(mesh, edge_id, profile, 0.0)
+    elif terminal:
+        u = place_profile(mesh, edge_id, lambda x: profile(-x), length)
     else:
         u = place_profile(mesh, edge_id, profile, length / 2.0, support_radius=x_c)
     M = mesh.mass_matrix

@@ -6,8 +6,8 @@ mass rescaling, H1 preconditioning, adaptive two-point step) followed by a
 Newton refinement of the stationarity system.  The localization constraint
 is handled by one start, one descent: it should be inactive at the
 solution, so the first-order conditions coincide with the plain
-Euler-Lagrange equation with a mass multiplier, and a descent whose maximum
-leaves the edge for good is reported as escaped.
+Euler-Lagrange equation with a mass multiplier, and a final state whose
+maximum lies off the edge is reported as escaped.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from scipy.sparse.linalg import splu
 
 from . import functional as fn
 from . import verify
-from .graphs import MetricGraph, classify_edges
+from .graphs import MetricGraph
 from .mesh import (
     GraphFunction,
     Mesh,
@@ -441,7 +441,6 @@ def _descend(
     mu: float,
     p: float,
     cfg: SolveConfig,
-    monitor_edge: Optional[str] = None,
 ):
     """Monotone projected-gradient descent plus Newton refinement.
 
@@ -461,10 +460,11 @@ def _descend(
     Newton polish gives up when it stalls: ``STALL_STEPS`` accepted steps
     in a row that each cut the residual by less than 10 %.
 
-    Returns (u, lambda, residual, iterations, converged, left_edge, r) where
-    ``left_edge`` reports that the argmax drifted off ``monitor_edge`` and
-    stayed off, and r is the residual row vector of ``verify.residual_rows``
-    at the returned (u, lambda).
+    The descent knows nothing of a localization edge: edge starts and free
+    halfline starts run alike, and ``_classify`` judges where the final
+    state peaks.  Returns (u, lambda, residual, iterations, converged, r)
+    where r is the residual row vector of ``verify.residual_rows`` at the
+    returned (u, lambda).
     """
     M = mesh.mass_matrix
     K = mesh.stiffness_matrix
@@ -485,8 +485,6 @@ def _descend(
 
     e_now = fn.energy(GraphFunction(mesh, x), p).total
     step = 0.5
-    off_edge_streak = 0
-    left_edge = False
     prev = None
     prev_r = None
     iterations = 0
@@ -524,16 +522,6 @@ def _descend(
             e_now = fn.energy(GraphFunction(mesh, x), p).total
             abs_applied = True
 
-        if monitor_edge is not None:
-            top_edge = argmax(GraphFunction(mesh, it.x))[0]
-            if top_edge != monitor_edge:
-                off_edge_streak += 1
-                if off_edge_streak > 25:
-                    left_edge = True
-                    break
-            else:
-                off_edge_streak = 0
-
     x = it.x if abs_applied else _fold(M, it.x, mu)
 
     r, lam = residual(_iterate_at(mesh, x, p))
@@ -553,7 +541,7 @@ def _descend(
     else:
         res = verify.strong_norm(mesh, r)
     converged = res <= tol
-    return GraphFunction(mesh, x), lam, res, iterations, converged, left_edge, r
+    return GraphFunction(mesh, x), lam, res, iterations, converged, r
 
 
 def _branch_vertex_distance(mesh: Mesh, edge_id: str, coord: float) -> float:
@@ -578,28 +566,26 @@ def _classify(
     mu: float,
     edge_id: Optional[str],
     converged: bool,
-    left_edge: bool,
 ):
-    """Status per the interiority analysis: a genuine bound state sits in
-    the interior of the localization constraint, carries a positive
-    multiplier, and does not leak mass toward the truncated ends.
+    """Status of a final state per the interiority analysis: a genuine
+    bound state sits in the interior of the localization constraint,
+    carries a positive multiplier, and does not leak mass toward the
+    truncated ends.
 
-    Leaving the edge for good, or a multiplier lam <= 0 (a positive
+    A maximum off ``edge_id``, or a multiplier lam <= 0 (a positive
     solution of u'' = lam u - u^(p-1) decays along a halfline only if
-    lam > 0), rules out a bound state on its own, so either decides
-    ``escaped`` whether or not the run converged.  Only then does a run
-    short of tolerance get ``not-converged``.
+    lam > 0), rules out a bound state on the edge on its own, so either
+    decides ``escaped`` whether or not the run converged.  Only then does
+    a run short of tolerance get ``not-converged``.
     """
     top_edge, top_x, _ = argmax(u)
     m_loss = migrated_mass(u)
     ref_edge = edge_id if edge_id is not None else top_edge
     margin = verify.localization_margin(u, ref_edge)
-    if left_edge or lam <= 0.0:
+    if lam <= 0.0 or (edge_id is not None and top_edge != edge_id):
         return "escaped", margin, m_loss, top_edge
     if not converged:
         return "not-converged", margin, m_loss, top_edge
-    if edge_id is not None and top_edge != edge_id:
-        return "escaped", margin, m_loss, top_edge
     if m_loss > 0.05 * mu:
         return "escaped", margin, m_loss, top_edge
     if margin <= 0.0:
@@ -612,8 +598,8 @@ def _classify(
 def _finish_report(mesh, descent, mu, p, cfg, edge_id):
     """The report of one ``_descend`` result, its residual norms read from
     the row vector the descent returns."""
-    u, lam, _, iters, converged, left_edge, r = descent
-    status, margin, m_loss, _ = _classify(mesh, u, lam, mu, edge_id, converged, left_edge)
+    u, lam, _, iters, converged, r = descent
+    status, margin, m_loss, _ = _classify(mesh, u, lam, mu, edge_id, converged)
     el, kirchhoff = verify.row_norms(mesh, r)
     return SolveReport(
         minimizer=u,
@@ -645,9 +631,9 @@ def minimize_on_edge(
 
     One start, one descent: the start is the eps = 0.1 compact competitor
     on the edge, or a hat on the edge when the competitor does not fit
-    (mass below the fitting threshold).  The argmax is monitored at every
-    accepted step; a descent whose maximum stays off the edge ends early
-    and is reported ``escaped``.
+    (mass below the fitting threshold).  The descent runs to its end
+    wherever the maximum wanders; a final state that peaks off the edge is
+    reported ``escaped``.
     """
     e = g.edge(edge_id)
     if e.is_halfline:
@@ -661,9 +647,8 @@ def minimize_on_edge(
     model = make_model(p)
     if mesh is None:
         mesh = _resolve_mesh(g, cfg, model, mu)
-    terminal = classify_edges(g).by_edge[edge_id].role == "terminal"
     try:
-        u0 = compact_competitor(model, mu, 0.1, mesh, edge_id, terminal=terminal)
+        u0 = compact_competitor(model, mu, 0.1, mesh, edge_id)
     except SolitonError:
         # the competitor does not fit on the edge, or holds no mesh node
         length = mesh.edge_mesh(edge_id).coords[-1]
@@ -672,7 +657,7 @@ def minimize_on_edge(
             length / 2.0,
         )
         u0 = project_mass(u0, mu)
-    descent = _descend(mesh, u0, mu, p, cfg, monitor_edge=edge_id)
+    descent = _descend(mesh, u0, mu, p, cfg)
     return _finish_report(mesh, descent, mu, p, cfg, edge_id)
 
 
@@ -763,7 +748,7 @@ class ThresholdReport:
     energies: list[float]
     threshold: Optional[float]   # smallest grid mass with an interior minimizer
     monotone: bool               # interior persisted once established twice
-    reasons: list[Optional[str]]  # SolveError message of each failed mass, else None
+    reasons: list[Optional[str]]  # error message of each failed mass, else None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -780,8 +765,9 @@ def scan_mass_threshold(
     """Empirical probe of the mass threshold: solve at each grid mass and
     record the first with an interior minimizer.  Masses whose meshes have
     the same truncation length share one mesh.  A mass whose solve raises
-    ``SolveError`` is ``not-converged``, with the error's message as its
-    entry of ``reasons``; a bad grid raises ``SolveError`` before any solve.
+    ``SolveError`` or ``SolitonError`` (a multiplier that overflows) is
+    ``not-converged``, with the error's message as its entry of
+    ``reasons``; a bad grid raises ``SolveError`` before any solve.
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
     and ignored: the masses are solved serially."""
     grid = list(mu_grid)
@@ -798,7 +784,7 @@ def scan_mass_threshold(
                 meshes[L] = _resolve_mesh(g, cfg, model, mu)
             rep = minimize_on_edge(g, edge_id, mu, p, cfg, mesh=meshes[L])
             return rep.status, rep.energy.total, None
-        except SolveError as exc:
+        except (SolveError, SolitonError) as exc:
             return "not-converged", float("nan"), str(exc)
 
     results = [run(mu) for mu in grid]

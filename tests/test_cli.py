@@ -90,6 +90,22 @@ def test_solve_numerical_failure_exit_code():
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "1e200"],
+        ["ground", "--graph", "double-bridge", "--mass", "1e200"],
+        ["verify", "--graph", "double-bridge", "--edge", "e", "--mass", "1e200"],
+        ["catalogue", "--graph", "double-bridge", "--mass", "1e200"],
+    ],
+)
+def test_huge_mass_is_a_numerical_failure_with_one_line(argv, capsys):
+    # the line multiplier (mu / 4)^2 of mass 1e200 overflows a float at p = 4
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: mass 1e+200") and err.count("\n") == 1
+
+
 def test_ground_halfline(tmp_path):
     out = tmp_path / "g.json"
     rc = run(
@@ -223,8 +239,16 @@ def test_overflowing_edge_length_is_graph_error(capsys):
         ' {"id": "h", "from": "a", "halfline": true}]}',
         '{"vertices": ["a"], "edges": [{"id": "h", "from": "a", "halfline": true, "length": 3}]}',
         '{"vertices": ["a", "a"], "edges": [{"id": "h", "from": "a", "halfline": true}]}',
+        '{"vertices": ["a", "b"], "edges": [{"id": "h", "from": "a", "to": "b", "halfline": "false"},'
+        ' {"id": "e", "from": "a", "to": "b", "length": 1}]}',
+        '{"vertices": ["a"], "edges": [{"id": "h", "from": "a", "halfline": 1}]}',
+        '{"vertices": ["a"], "edges": [{"id": "e", "from": "a", "to": "a", "length": "1.5"},'
+        ' {"id": "h", "from": "a", "halfline": true}]}',
     ],
-    ids=["boolean-length", "halfline-length", "repeated-vertex"],
+    ids=[
+        "boolean-length", "halfline-length", "repeated-vertex",
+        "string-halfline-flag", "integer-halfline-flag", "string-length",
+    ],
 )
 def test_validate_rejects_malformed_documents_with_one_line(doc, capsys):
     assert run(["validate", doc]) == 1

@@ -104,6 +104,7 @@ _BAD_EDGES = {
     "edges not a list": 5,
     "length not a number": [{"id": "e", "from": "a", "to": "a", "length": "abc"}, _HALFLINE],
     "length null": [{"id": "e", "from": "a", "to": "a", "length": None}, _HALFLINE],
+    "integer length beyond float": [{"id": "e", "from": "a", "to": "a", "length": 10**400}, _HALFLINE],
 }
 
 
@@ -127,6 +128,21 @@ _BAD_DOCUMENTS = {
     "repeated vertex": (
         {"vertices": ["a", "a"], "edges": [_HALFLINE]},
         r"repeated vertex names \['a'\]",
+    ),
+    "string halfline flag": (
+        {"vertices": ["a", "b"], "edges": [
+            {"id": "h", "from": "a", "to": "b", "halfline": "false"},
+            {"id": "e", "from": "a", "to": "b", "length": 1.0},
+        ]},
+        "halfline 'false' is not a boolean",
+    ),
+    "integer halfline flag": (
+        {"vertices": ["a"], "edges": [{**_HALFLINE, "halfline": 1}]},
+        "halfline 1 is not a boolean",
+    ),
+    "string length": (
+        {"vertices": ["a"], "edges": [{"id": "e", "from": "a", "to": "a", "length": "1.5"}, _HALFLINE]},
+        "length '1.5' is not a number",
     ),
 }
 

@@ -158,13 +158,44 @@ def test_import_loads_no_scipy_quadrature_optimize_or_special():
     assert out.stdout.strip() == "[]"
 
 
-def test_every_name_the_benchmark_tracer_wraps_resolves():
-    # the traced benchmark run patches these names and fails on a missing one
+def load_tracer():
+    """The benchmark's tracer module, loaded by path."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # the traced benchmark run patches these names and fails on a missing one
+    tracer = load_tracer()
     wrapped = [(module, attr) for module, attr, *_ in tracer._WRAPPED]
     wrapped.append(("graphnls.evolve", "splu"))
     missing = [f"{m}.{a}" for m, a in wrapped if not hasattr(importlib.import_module(m), a)]
     assert missing == []
     assert callable(importlib.import_module("graphnls.mesh").Mesh._assemble)
+
+
+def test_the_benchmark_tracer_counts_a_traced_run():
+    # a traced run reads the step count at index 3 of what _descend returns
+    # and the CN steps from what evolve returns, then restores every name
+    evolve, graphs, mesh, solve = (
+        importlib.import_module(f"graphnls.{m}") for m in ("evolve", "graphs", "mesh", "solve")
+    )
+    tracer = load_tracer()
+    patched = [(importlib.import_module(m), a) for m, a, *_ in tracer._WRAPPED]
+    patched += [(evolve, "splu"), (mesh.Mesh, "_assemble")]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    cfg = solve.SolveConfig(h=0.05, truncation=5.0)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        edge = solve.minimize_on_edge(graphs.double_bridge_graph(1.0), "e", 8.0, 4.0, cfg)
+        free = solve.ground_state(graphs.halfline_graph(), 2.0, 4.0, cfg)
+        evolve.stability_probe(edge, epsilon=0.01, t_final=0.1, dt=0.01)
+    finally:
+        t.uninstall()
+    metrics = tracer.layer_metrics(t.spans)
+    assert metrics["solve.pgd_steps"] == edge.iterations + free.iterations
+    assert metrics["evolve.cn_steps"] == 10
+    assert all(getattr(o, a) is f for (o, a), f in zip(patched, originals))

@@ -134,6 +134,12 @@ def test_mass_lambda_maps_reject_bad_arguments(bad):
         model.mass_for_lambda(bad)
 
 
+def test_lambda_for_a_huge_mass_is_a_soliton_error():
+    # at p = 4, lambda = (mu / 4)^2 overflows a float past mu of about 5e154
+    with pytest.raises(SolitonError, match=r"mass 1e\+200 is too large"):
+        make_model(4.0).lambda_for_mass(1e200)
+
+
 def test_gn_sharp_constant_quartic():
     # p = 4 sharp constant on noncompact graphs is 2 / sqrt(3)
     model = make_model(4.0)
@@ -162,7 +168,7 @@ def test_compact_competitor_terminal_tip():
     g = example_graph(4)  # edge g: v2 - v4 with v4 of degree 1
     mesh = build_mesh(g, h=0.01, trunc=5.0)
     model = make_model(4.0)
-    u = compact_competitor(model, 10.0, 0.1, mesh, "g", terminal=True)
+    u = compact_competitor(model, 10.0, 0.1, mesh, "g")
     em = mesh.edge_mesh("g")
     vals = u.edge_values("g")
     tip_end = vals[-1] if mesh.graph.degree(mesh.graph.edge("g").dst) == 1 else vals[0]
@@ -181,7 +187,7 @@ def test_compact_competitor_terminal_tip_at_src_mirrors_tip_at_dst():
         g = MetricGraph(("tip", "v"), (t, Edge("h1", "v"), Edge("h2", "v")))
         assert classify_edges(g).by_edge["t"].role == "terminal"
         mesh = build_mesh(g, h=0.01, trunc=5.0)
-        u = compact_competitor(model, 10.0, 0.1, mesh, "t", terminal=True)
+        u = compact_competitor(model, 10.0, 0.1, mesh, "t")
         vals[tip_at_src] = u.edge_values("t")
     peak = np.max(vals[True])
     assert vals[True][0] == peak
@@ -345,5 +351,5 @@ def test_catalogue_competitors_beat_their_targets():
     g = example_graph(2)
     assert classify_edges(g).by_edge["f"].role == "terminal"
     mesh = build_mesh(g, h=0.01, trunc=2.0)
-    u = compact_competitor(model, mu, eps, mesh, "f", terminal=True)
+    u = compact_competitor(model, mu, eps, mesh, "f")
     assert energy(u, 4.0).total <= (1.0 - eps) * half

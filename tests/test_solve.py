@@ -206,9 +206,7 @@ def test_classify_unconverged_nonpositive_multiplier_is_escaped():
     # bound state exists whether or not the descent converged
     mesh, u = _bump_on_edge_e(1.0)
     for lam in (0.0, -0.02):
-        status, margin, _, top = _classify(
-            mesh, u, lam, 1.0, "e", converged=False, left_edge=False
-        )
+        status, margin, _, top = _classify(mesh, u, lam, 1.0, "e", converged=False)
         assert status == "escaped"
         assert top == "e"
         assert margin > 0.0
@@ -216,21 +214,27 @@ def test_classify_unconverged_nonpositive_multiplier_is_escaped():
 
 def test_classify_unconverged_positive_multiplier_is_not_converged():
     mesh, u = _bump_on_edge_e(1.0)
-    status, margin, m_loss, _ = _classify(
-        mesh, u, 0.5, 1.0, "e", converged=False, left_edge=False
-    )
+    status, margin, m_loss, _ = _classify(mesh, u, 0.5, 1.0, "e", converged=False)
     assert status == "not-converged"
     assert margin > 0.0
     assert m_loss == pytest.approx(migrated_mass(u))
-    status, *_ = _classify(mesh, u, 0.5, 1.0, "e", converged=False, left_edge=True)
-    assert status == "escaped"
+
+
+def test_classify_unconverged_state_peaked_off_its_edge_is_escaped():
+    # where the maximum lies is read from the final state: a state peaked on
+    # the halfline h1 holds no bound state on e, converged or not
+    mesh, _ = _bump_on_edge_e(1.0)
+    u = project_mass(place_profile(mesh, "h1", lambda x: np.exp(-8.0 * x * x), 1.0), 1.0)
+    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=False)
+    assert (status, top) == ("escaped", "h1")
+    assert margin < 0.0
 
 
 def test_classify_maximum_on_a_vertex_is_constraint_active():
     # the maximum sits on the vertex v1 of e, shared with h1 and h2: margin 0
     mesh, _ = _bump_on_edge_e(1.0)
     u = project_mass(place_profile(mesh, "e", lambda x: np.exp(-8.0 * x * x), 0.0), 1.0)
-    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=True, left_edge=False)
+    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=True)
     assert (status, margin, top) == ("constraint-active", 0.0, "e")
 
 
@@ -239,7 +243,7 @@ def test_classify_maximum_next_to_a_branch_vertex_is_constraint_active():
     # strictly above it: margin > 0, but within 2h of the branch vertex
     mesh, _ = _bump_on_edge_e(1.0)
     u = project_mass(place_profile(mesh, "e", lambda x: np.exp(-8.0 * x * x), 0.05), 1.0)
-    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=True, left_edge=False)
+    status, margin, _, top = _classify(mesh, u, 0.5, 1.0, "e", converged=True)
     assert (status, top) == ("constraint-active", "e")
     assert margin > 0.0
     assert argmax(u)[1] == pytest.approx(0.05)
@@ -305,13 +309,14 @@ def test_minimize_on_edge_rejects_an_unresolved_soliton():
 
 
 def _descents_that_leave(monkeypatch):
-    """Make every descent report that its argmax left the edge; record the
-    start of each call and the eps of each competitor request."""
+    """Make every descent end on a state peaked on the halfline h1; record
+    the start of each call and the eps of each competitor request."""
     starts, eps_seen = [], []
 
-    def leaving_descent(mesh, u0, mu, p, cfg, monitor_edge=None):
+    def leaving_descent(mesh, u0, mu, p, cfg):
         starts.append(u0.values.copy())
-        return project_mass(u0, mu), 1.0, 1.0, 0, False, True, np.zeros(u0.mesh.ndof)
+        u = project_mass(place_profile(mesh, "h1", lambda x: np.exp(-x * x), 1.0), mu)
+        return u, 1.0, 1.0, 0, False, np.zeros(mesh.ndof)
 
     def spy_competitor(model, mu, eps, *args, **kwargs):
         eps_seen.append(eps)
@@ -326,7 +331,7 @@ def _descents_that_leave(monkeypatch):
 def test_minimize_on_edge_tries_the_fallback_hat_once(monkeypatch):
     # one start, one descent: below the fitting threshold (mu = 0.5) the
     # start is the hat, at mu = 100 the eps = 0.1 competitor; a descent that
-    # leaves the edge is reported, not retried
+    # ends off the edge is reported, not retried
     starts, eps_seen = _descents_that_leave(monkeypatch)
     support = {}
     for mu in (0.5, 100.0):
@@ -613,16 +618,16 @@ def test_halfline_starts_one_per_halfline_vertex(g, first_halflines):
 def test_ground_state_halfline_makes_one_free_descent(monkeypatch):
     # no bounded edge and one halfline vertex: one half-soliton start, no
     # random starts
-    monitors = []
+    calls = []
     real_descend = solve_module._descend
 
-    def counting_descend(mesh, u0, mu, p, cfg, monitor_edge=None):
-        monitors.append(monitor_edge)
-        return real_descend(mesh, u0, mu, p, cfg, monitor_edge=monitor_edge)
+    def counting_descend(*args):
+        calls.append(args)
+        return real_descend(*args)
 
     monkeypatch.setattr(solve_module, "_descend", counting_descend)
     rep = ground_state(halfline_graph(), 2.0, 4.0, SolveConfig(h=0.01))
-    assert monitors == [None]
+    assert len(calls) == 1
     assert rep.ground_claim and rep.converged
 
 
@@ -720,6 +725,14 @@ def test_scan_keeps_the_reason_a_mass_failed():
     report = scan_mass_threshold(double_bridge_graph(0.3), "e", 5.0, [100.0], SolveConfig(h=0.02))
     assert report.statuses == ["not-converged"]
     assert report.reasons[0].startswith("mesh spacing h=0.02 does not resolve the soliton")
+
+
+def test_scan_reports_a_mass_whose_multiplier_overflows():
+    cfg = SolveConfig(h=0.02, truncation=20.0)
+    report = scan_mass_threshold(double_bridge_graph(1.0), "e", 4.0, [1.0, 1e300], cfg)
+    assert report.statuses == ["escaped", "not-converged"]
+    assert report.reasons[0] is None
+    assert report.reasons[1].startswith("mass 1e+300 is too large")
 
 
 def test_scan_rejects_bad_grid():
