@@ -5,7 +5,6 @@ from .graphs import (
     Edge,
     GraphError,
     MetricGraph,
-    classify_edges,
     double_bridge_graph,
     example_graph,
     halfline_graph,

@@ -284,7 +284,7 @@ def stability_probe(
         raise EvolveError(f"epsilon must be finite, got {epsilon}")
     if stride < 1:
         raise EvolveError(f"stride must be at least 1, got {stride}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
         raise EvolveError(f"seed must be an integer >= 0, got {seed!r}")
     state = report.minimizer
     mesh = state.mesh

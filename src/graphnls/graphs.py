@@ -241,36 +241,6 @@ def normalize(g: MetricGraph) -> MetricGraph:
     )
 
 
-@dataclass(frozen=True)
-class EdgeClass:
-    kind: str  # "bounded" | "halfline"
-    role: str  # "terminal" | "internal" | "self-loop" | "halfline"
-
-
-@dataclass(frozen=True)
-class EdgeClassification:
-    by_edge: Mapping[str, EdgeClass]
-    shortest_bounded: Optional[float]
-
-
-def classify_edges(g: MetricGraph) -> EdgeClassification:
-    """Classify each edge and report the shortest bounded edge length.
-
-    A terminal edge is a bounded edge with one endpoint of degree one.
-    """
-    by_edge = {}
-    for e in g.edges:
-        if e.is_halfline:
-            by_edge[e.id] = EdgeClass("halfline", "halfline")
-        elif e.is_self_loop:
-            by_edge[e.id] = EdgeClass("bounded", "self-loop")
-        elif g.degree(e.src) == 1 or g.degree(e.dst) == 1:
-            by_edge[e.id] = EdgeClass("bounded", "terminal")
-        else:
-            by_edge[e.id] = EdgeClass("bounded", "internal")
-    return EdgeClassification(by_edge=by_edge, shortest_bounded=g.shortest_bounded_length)
-
-
 # ---------------------------------------------------------------------------
 # Built-in fixtures.  Edge lengths are fixture choices: all bounded edges
 # default to length 1 except example 4, whose defaults (terminal edges 2,

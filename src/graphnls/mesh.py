@@ -137,6 +137,16 @@ class Mesh:
         out = np.bincount(self.el_left, wa, n) + np.bincount(self.el_right, wb, n)
         return out[:-1]
 
+    def node_values(self, v: np.ndarray) -> np.ndarray:
+        """Nodal values ``v`` at every node-table entry, the fixed zero at a
+        truncated halfline end included."""
+        return np.append(v, 0.0)[self.node_dof]
+
+    def node_sum(self, w: np.ndarray) -> np.ndarray:
+        """Nodal vector summing the real per-node weights ``w`` (one per
+        node-table entry) onto their dofs; a fixed zero's weight is dropped."""
+        return np.bincount(self.node_dof, w, self.ndof + 1)[:-1]
+
     def stencil_matrix(self, data: np.ndarray, fmt: str = "csr", border=None):
         """The matrix A with entries ``data`` on the stencil pattern, as CSR
         or (``fmt="csc"``, for ``splu``; ``factor`` is the faster solver on

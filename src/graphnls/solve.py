@@ -66,12 +66,14 @@ class SolveConfig:
                 raise SolveError(f"{what} {x!r} is not positive and finite")
         if not (self.truncation == "auto" or _positive_finite(self.truncation)):
             raise SolveError(f"truncation {self.truncation!r} is not 'auto' or positive and finite")
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+        n = self.max_iter
+        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
             raise SolveError(f"max iterations {self.max_iter!r} is not an integer >= 1")
 
 
 def _positive_finite(x) -> bool:
-    return isinstance(x, numbers.Real) and 0.0 < x < math.inf
+    """A real number (not a bool) in (0, inf)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0.0 < x < math.inf
 
 
 @dataclass
@@ -281,7 +283,9 @@ def _translation_pin_vector(mesh, edge_id, p, lam, c):
     the approximate translation mode, used as a pinning functional."""
     _, df = _profile_callables(p, lam)
     on = mesh.node_edge == mesh.edge_index(edge_id)
-    return np.bincount(mesh.node_dof[on], df(mesh.node_x[on] - c), mesh.ndof + 1)[:-1]
+    w = np.zeros(on.size)
+    w[on] = df(mesh.node_x[on] - c)
+    return mesh.node_sum(w)
 
 
 def _pinned_newton(mesh, x0, lam, mu, p, w, tol, max_iter=30):
@@ -427,14 +431,6 @@ def _bb_step(
     return min(max(step, 1e-6), 1e3)
 
 
-def _fold(M, x: np.ndarray, mu: float) -> np.ndarray:
-    """|x| rescaled to mass mu measured as x.(M x); |x|.M|x| >= x.Mx = mu > 0
-    since M is entrywise nonnegative."""
-    x = np.abs(x)
-    x *= math.sqrt(mu / float(x @ (M @ x)))
-    return x
-
-
 def _descend(
     mesh: Mesh,
     u0: GraphFunction,
@@ -456,7 +452,9 @@ def _descend(
     descent hands over to Newton at a residual of min(1e-3 max(1, mu),
     1e-2 lambda_line), and no less than 10 times the Newton tolerance: a
     bound that does not scale with the line multiplier lambda_line leaves a
-    small multiplier 10 % off, too far for Newton.  The
+    small multiplier 10 % off, too far for Newton.  The descent folds once,
+    at the hand-over: Newton starts from |x| rescaled to mass mu, so the
+    result depends on where the descent ends, not on the path it took.  The
     Newton polish gives up when it stalls: ``STALL_STEPS`` accepted steps
     in a row that each cut the residual by less than 10 %.
 
@@ -488,7 +486,6 @@ def _descend(
     prev = None
     prev_r = None
     iterations = 0
-    abs_applied = False
 
     for k in range(cfg.max_iter):
         iterations = k + 1
@@ -516,13 +513,10 @@ def _descend(
         e_now, accept = trial
         it = accept()
 
-        if not abs_applied and (k >= 30 or res <= 10.0 * switch_tol):
-            x = _fold(M, it.x, mu)
-            it = _iterate_at(mesh, x, p)
-            e_now = fn.energy(GraphFunction(mesh, x), p).total
-            abs_applied = True
-
-    x = it.x if abs_applied else _fold(M, it.x, mu)
+    # fold once, at the hand-over: |x| rescaled to mass mu (|x|.M|x| >=
+    # x.Mx = mu > 0, since M is entrywise nonnegative)
+    x = np.abs(it.x)
+    x *= math.sqrt(mu / float(x @ (M @ x)))
 
     r, lam = residual(_iterate_at(mesh, x, p))
     xn, lamn, _, ok = _newton_refine(mesh, x, lam, mu, p, tol)

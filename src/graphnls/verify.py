@@ -40,7 +40,7 @@ def strong_norm(mesh: Mesh, r: np.ndarray, rows=slice(None)) -> float:
 
 def row_norms(mesh: Mesh, r: np.ndarray) -> tuple[float, float]:
     """(``el_residual``, ``kirchhoff_residual``) of the residual rows r."""
-    vertex = float(np.max(np.abs(r[mesh.vertex_dofs]))) if mesh.ndof else 0.0
+    vertex = float(np.max(np.abs(r[mesh.vertex_dofs]), initial=0.0))
     return strong_norm(mesh, r, mesh.interior_mask), vertex
 
 
@@ -96,7 +96,7 @@ def localization_margin(u: GraphFunction, edge_id: str) -> float:
     Positive means the maximum is attained on the edge only: the
     localization constraint is inactive there."""
     mesh = u.mesh
-    vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
+    vals = np.abs(mesh.node_values(u.values))
     on = mesh.node_edge == mesh.edge_index(edge_id)
     return float(np.max(vals[on])) - float(np.max(vals[~on], initial=0.0))
 
@@ -163,9 +163,8 @@ def certify(report, model: SolitonModel) -> VerificationReport:
     lam = max(float(getattr(report, "lam", 1.0)), 1e-12)
     layer = 1.0 / math.sqrt(lam)
     cut = mesh.truncation - min(layer, mesh.truncation / 2.0)
-    tail = mesh.edge_halfline[mesh.node_edge] & (mesh.node_x > cut) & (mesh.node_dof < mesh.ndof)
-    mask = np.ones(mesh.ndof, dtype=bool)
-    mask[mesh.node_dof[tail]] = False
+    tail = mesh.edge_halfline[mesh.node_edge] & (mesh.node_x > cut)
+    mask = mesh.node_sum(tail.astype(float)) == 0.0
     positive = bool(np.all(vals[mask] > 1e-12 * peak) and np.all(vals[~mask] >= 0.0))
 
     energy = report.energy.total

@@ -224,6 +224,7 @@ def test_evolve_reports_a_blow_up_at_once(bound_state):
         {"epsilon": math.inf},
         {"seed": -1},
         {"seed": 1.5},
+        {"seed": True},
         {"fp_tol": math.nan},
         {"fp_tol": 0.0},
     ],

@@ -9,7 +9,6 @@ from graphnls.graphs import (
     Edge,
     GraphError,
     MetricGraph,
-    classify_edges,
     double_bridge_graph,
     example_graph,
     halfline_graph,
@@ -210,20 +209,6 @@ def test_normalize_flags_two_halfline_junction():
     # would leave a full line with no bounded edge to localize on
     assert "a" in gn.flagged_vertices
     assert len(gn.halflines) == 2
-
-
-def test_classify_edges_roles():
-    g = example_graph(4)
-    cls = classify_edges(g)
-    assert cls.by_edge["h1"].kind == "halfline"
-    assert cls.by_edge["e"].kind == "bounded"
-    assert cls.shortest_bounded == pytest.approx(2.0)
-    # terminal role: one endpoint of degree 1
-    g2 = MetricGraph(
-        vertices=("a", "b"),
-        edges=(Edge("t", "a", "b", 1.0), Edge("h", "a", None, None)),
-    )
-    assert classify_edges(g2).by_edge["t"].role == "terminal"
 
 
 def test_fixture_shapes():

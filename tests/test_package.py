@@ -1,7 +1,7 @@
 """Package hygiene: no module imports a name it never uses, every import
 sits at module level, importing the package loads only the sparse parts of
 scipy, one function forms the Euler-Lagrange residual, and sparse matrices
-are assembled only in ``mesh``."""
+are assembled and the node table read only in ``mesh``."""
 
 import ast
 import importlib
@@ -142,6 +142,31 @@ def test_only_mesh_assembles_sparse_matrices():
     # pattern, wrapped by Mesh.stencil_matrix
     uses = {p.stem: assembly_uses(p.read_text()) for p in ALL_MODULES if p.name != "mesh.py"}
     assert {stem: found for stem, found in uses.items() if found} == {}
+
+
+def node_dof_reads(source: str) -> list[str]:
+    """``line n`` for every read of a ``node_dof`` attribute in ``source``."""
+    return sorted(
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "node_dof"
+    )
+
+
+def test_checker_flags_a_node_dof_read():
+    src = (
+        "import numpy as np\n\ndef f(mesh, v, on):\n"
+        "    w = np.append(v, 0.0)[mesh.node_dof]\n"
+        "    return np.bincount(mesh.node_dof[on], w[on], mesh.ndof + 1), mesh.node_values(v)\n"
+    )
+    assert node_dof_reads(src) == ["line 4", "line 5"]
+
+
+def test_only_mesh_reads_the_node_dof_table():
+    # the node table holds the fixed zero at a truncated halfline end as dof
+    # ndof; outside mesh.py it is read through Mesh.node_values and node_sum
+    reads = {p.stem: node_dof_reads(p.read_text()) for p in ALL_MODULES if p.name != "mesh.py"}
+    assert {stem: found for stem, found in reads.items() if found} == {}
 
 
 def test_import_loads_no_scipy_quadrature_optimize_or_special():

@@ -46,7 +46,7 @@ from graphnls.verify import VerificationReport
 CFG = SolveConfig(h=0.02, truncation=8.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, True])
 def test_config_rejects_bad_grad_tol(bad):
     with pytest.raises(SolveError, match="not positive and finite"):
         SolveConfig(grad_tol=bad)
@@ -60,15 +60,18 @@ def test_config_rejects_bad_grad_tol(bad):
         {"h": -0.01},
         {"h": math.inf},
         {"h": "0.01"},
+        {"h": True},
         {"truncation": "x"},
         {"truncation": math.nan},
         {"truncation": 0.0},
         {"truncation": -3.0},
         {"truncation": math.inf},
+        {"truncation": True},
         {"max_iter": 2.5},
         {"max_iter": 0},
         {"max_iter": -3},
         {"max_iter": "400"},
+        {"max_iter": True},
     ],
 )
 def test_config_rejects_bad_fields(kwargs):
@@ -743,7 +746,9 @@ def test_scan_rejects_bad_grid():
         scan_mass_threshold(g, "e", 4.0, [], CFG)
 
 
-@pytest.mark.parametrize("grid", [[math.nan], [-1.0, 2.0], [0.0, 1.0], [1.0, math.inf]])
+@pytest.mark.parametrize(
+    "grid", [[math.nan], [-1.0, 2.0], [0.0, 1.0], [1.0, math.inf], [True, 2.0]]
+)
 def test_scan_rejects_a_grid_mass_that_is_not_positive_and_finite(grid):
     # refused up front with the scan's own error, not by the first solve
     # (NaN compares false both ways, so an order check alone lets it pass)
