@@ -34,6 +34,8 @@ from .graphs import (
     double_bridge_graph,
     example_graph,
     halfline_graph,
+    is_count,
+    is_number,
     line_graph,
     load_graph,
     star_graph,
@@ -100,7 +102,7 @@ def _number(what: str, lo: float = 0.0, hi: float = math.inf):
             x = float(text)
         except ValueError:
             x = math.nan
-        if not (lo < x < hi):
+        if not is_number(x, lo, hi):
             raise argparse.ArgumentTypeError(f"{what} {text!r} is not a number in ({lo:g}, {hi:g})")
         return x
 
@@ -119,7 +121,7 @@ def _count(what: str, least: int = 1):
             k = int(text)
         except ValueError:
             k = least - 1
-        if k < least:
+        if not is_count(k, least):
             raise argparse.ArgumentTypeError(f"{what} {text!r} is not an integer >= {least}")
         return k
 

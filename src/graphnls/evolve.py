@@ -29,7 +29,6 @@ lab frame.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,6 +36,7 @@ import numpy as np
 from scipy.sparse.linalg import splu
 
 from . import functional as fn
+from .graphs import is_count, is_number
 from .mesh import GraphFunction, Mesh
 
 # most Crank-Nicolson steps one run may take: the histories are allocated
@@ -71,8 +71,8 @@ class EvolveResult:
 def check_time_grid(t_final: float, dt: float) -> None:
     """Raise EvolveError unless 0 < dt <= t_final, both finite, and the run
     takes at most MAX_STEPS steps."""
-    if not (math.isfinite(t_final) and 0 < dt <= t_final):
-        raise EvolveError("need finite 0 < dt <= t_final")
+    if not (is_number(t_final) and is_number(dt, 0.0) and dt <= t_final):
+        raise EvolveError(f"need finite 0 < dt <= t_final, got dt={dt!r}, t_final={t_final!r}")
     if t_final / dt > MAX_STEPS:
         raise EvolveError(
             f"t_final / dt = {t_final / dt:.3g} exceeds the limit of {MAX_STEPS} steps"
@@ -101,12 +101,12 @@ def evolve(
     the predictor solve that starts each step.
     """
     check_time_grid(t_final, dt)
-    if not 2.0 < p < 6.0:
-        raise EvolveError(f"exponent p={p} outside the subcritical range (2, 6)")
-    if not math.isfinite(omega):
-        raise EvolveError(f"omega must be finite, got {omega}")
-    if not (math.isfinite(fp_tol) and fp_tol > 0):
-        raise EvolveError(f"fp_tol must be finite and > 0, got {fp_tol}")
+    if not is_number(p, 2.0, 6.0):
+        raise EvolveError(f"exponent p={p!r} outside the subcritical range (2, 6)")
+    if not is_number(omega):
+        raise EvolveError(f"omega must be finite, got {omega!r}")
+    if not is_number(fp_tol, 0.0):
+        raise EvolveError(f"fp_tol must be finite and > 0, got {fp_tol!r}")
     if not np.all(np.isfinite(u0.values)):
         raise EvolveError("initial state has non-finite values")
     n_steps = int(round(t_final / dt))
@@ -165,7 +165,6 @@ def evolve(
             else:
                 r = 3.0 * (rests[0] - rests[1]) + rests[2]
             un = solver.solve(c - r)
-            converged = False
             for sweep in range(MAX_SWEEPS):
                 r = rest(0.5 * (u + un))
                 un_next = solver.solve(c - r)
@@ -174,11 +173,10 @@ def evolve(
                     raise EvolveError(f"non-finite values at step {step}; the state blew up")
                 un = un_next
                 if delta <= fp_tol * scale0:
-                    converged = True
                     sweeps_max = max(sweeps_max, sweep + 1)
                     sweeps_total += sweep + 1
                     break
-            if not converged:
+            else:
                 raise EvolveError(
                     f"fixed-point iteration stalled at step {step}: "
                     f"last update {delta:.3e} (try a smaller dt)"
@@ -280,11 +278,11 @@ def stability_probe(
     orbital H1 distance back to the unperturbed state along the trajectory;
     ``stride`` thins the recorded samples.
     """
-    if not math.isfinite(epsilon):
-        raise EvolveError(f"epsilon must be finite, got {epsilon}")
-    if stride < 1:
-        raise EvolveError(f"stride must be at least 1, got {stride}")
-    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+    if not is_number(epsilon):
+        raise EvolveError(f"epsilon must be finite, got {epsilon!r}")
+    if not is_count(stride, 1):
+        raise EvolveError(f"stride must be an integer >= 1, got {stride!r}")
+    if not is_count(seed, 0):
         raise EvolveError(f"seed must be an integer >= 0, got {seed!r}")
     state = report.minimizer
     mesh = state.mesh

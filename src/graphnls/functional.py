@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import halfline_graph
+from .graphs import halfline_graph, is_count, is_number
 from .mesh import GraphFunction, build_mesh, interpolate
 from .soliton import make_model
 
@@ -26,8 +26,8 @@ class FunctionalError(ValueError):
 
 
 def _check_p(p: float) -> None:
-    if not (2.0 < p < 6.0):
-        raise FunctionalError(f"exponent p={p} outside the subcritical range (2, 6)")
+    if not is_number(p, 2.0, 6.0):
+        raise FunctionalError(f"exponent p={p!r} outside the subcritical range (2, 6)")
 
 
 @dataclass(frozen=True)
@@ -197,9 +197,11 @@ def rearrangement(u: GraphFunction, n_nodes: int = 4001) -> GraphFunction:
 
     Built from the exact distribution function of the piecewise-linear
     input: the rearranged profile is itself polygonal with breakpoints at
-    the sorted nodal values, then resampled on a fresh uniform mesh whose
-    length is the measure of the support of u.
+    the sorted nodal values, then resampled on a fresh uniform mesh of
+    ``n_nodes`` >= 11 nodes whose length is the measure of the support of u.
     """
+    if not is_count(n_nodes, 11):
+        raise FunctionalError(f"n_nodes must be an integer >= 11, got {n_nodes!r}")
     vals = np.real(u.values)
     if np.min(vals) < -1e-12 * max(1.0, np.max(np.abs(vals))):
         raise FunctionalError("rearrangement requires a nonnegative function")
@@ -279,10 +281,10 @@ def ge3_bound(nu: float, n_preimages: int, p: float) -> float:
     """Energy lower bound -theta_p (2/N)^(2 beta) nu^(2 beta + 1) for a
     nonnegative function of squared L2 norm nu whose a.e. level has at
     least N preimages."""
-    if n_preimages < 1:
-        raise FunctionalError("N must be at least 1")
-    if nu < 0:
-        raise FunctionalError("nu must be nonnegative")
+    if not is_count(n_preimages, 1):
+        raise FunctionalError(f"N must be an integer >= 1, got {n_preimages!r}")
+    if not (is_number(nu) and nu >= 0.0):
+        raise FunctionalError(f"nu must be nonnegative and finite, got {nu!r}")
     model = make_model(p)
     return -model.theta * (2.0 / n_preimages) ** (2.0 * model.beta) * nu ** (
         2.0 * model.beta + 1.0

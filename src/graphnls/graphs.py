@@ -19,6 +19,16 @@ class GraphError(ValueError):
     """Raised for invalid graph documents or invalid graph structure."""
 
 
+def is_number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
+    """x is a real number, not a bool, with lo < x < hi (so finite)."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and lo < x < hi
+
+
+def is_count(x, least: int) -> bool:
+    """x is an integer, not a bool, and x >= least."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
+
+
 @dataclass(frozen=True)
 class Edge:
     """One edge of a metric graph.
@@ -44,9 +54,8 @@ class Edge:
         if self.is_halfline:
             if self.length is not None:
                 raise GraphError(f"halfline edge {self.id!r} must not carry a length")
-        else:
-            if self.length is None or not (0 < self.length < math.inf):
-                raise GraphError(f"edge {self.id!r} needs a positive finite length")
+        elif not is_number(self.length, 0.0):
+            raise GraphError(f"edge {self.id!r}: {self.length!r} is not a positive finite length")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .graphs import MetricGraph
+from .graphs import MetricGraph, is_number
 
 DEFAULT_TRUNCATION = 20.0
 
@@ -273,10 +273,11 @@ def truncation_length(
     if trunc == "auto":
         lam = lambda_est if lambda_est else 0.16
         return max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lam))
+    if not is_number(trunc, 0.0):
+        raise MeshError(f"truncation length {trunc!r} is not positive and finite")
     L = float(trunc)
-    if not 0.0 < L < math.inf:
-        raise MeshError(f"truncation length {L} is not positive and finite")
-    if L < 10 * h:
+    # up to roundoff, as in build_mesh: rearrangement may take h = L / 10
+    if L < 10 * h * (1.0 - 1e-12):
         raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
     return L
 
@@ -289,8 +290,8 @@ def build_mesh(
 ) -> Mesh:
     """Build a glued P1 mesh with target spacing ``h`` and the halfline
     truncation length ``truncation_length(h, trunc, lambda_est)``."""
-    if not 0.0 < h < math.inf:
-        raise MeshError(f"mesh spacing h={h} is not positive and finite")
+    if not is_number(h, 0.0):
+        raise MeshError(f"mesh spacing h={h!r} is not positive and finite")
     ell = g.shortest_bounded_length
     if ell is not None and h >= ell / 2.0:
         raise MeshError(

@@ -33,16 +33,12 @@ from typing import Callable
 
 import numpy as np
 
+from .graphs import is_number
 from .mesh import GraphFunction, Mesh, place_profile
 
 
 class SolitonError(ValueError):
     """Raised for invalid exponents or infeasible competitor requests."""
-
-
-def _check_p(p: float) -> None:
-    if not (2.0 < p < 6.0):
-        raise SolitonError(f"exponent p={p} outside the subcritical range (2, 6)")
 
 
 def _sech_power_integral(s: float) -> float:
@@ -64,11 +60,6 @@ def _amplitude_width(p: float, lam: float) -> tuple[float, float]:
     return (lam * p / 2.0) ** (1.0 / (p - 2.0)), math.sqrt(lam) / q
 
 
-def _check_positive(x: float, what: str) -> None:
-    if not (0.0 < x < math.inf):
-        raise SolitonError(f"{what} must be positive and finite, got {x}")
-
-
 @dataclass(frozen=True)
 class SolitonModel:
     """Scaling exponents and the soliton energy constant for one p."""
@@ -84,7 +75,8 @@ class SolitonModel:
 
     def lambda_for_mass(self, mu: float) -> float:
         """Multiplier of the line soliton with mass mu."""
-        _check_positive(mu, "mass")
+        if not is_number(mu, 0.0):
+            raise SolitonError(f"mass must be positive and finite, got {mu!r}")
         k, gamma = _mass_law(self.p)
         try:
             return (mu / k) ** (1.0 / gamma)
@@ -93,7 +85,8 @@ class SolitonModel:
 
     def mass_for_lambda(self, lam: float) -> float:
         """Mass of the line soliton with multiplier lam."""
-        _check_positive(lam, "multiplier")
+        if not is_number(lam, 0.0):
+            raise SolitonError(f"multiplier must be positive and finite, got {lam!r}")
         k, gamma = _mass_law(self.p)
         return k * lam ** gamma
 
@@ -102,7 +95,8 @@ class SolitonModel:
 def make_model(p: float) -> SolitonModel:
     """Build the model for exponent p; theta_p = lambda_1 (6-p) / (2(p+2)) by
     the soliton identities, lambda_1 = k^(-1/gamma) the unit-mass multiplier."""
-    _check_p(p)
+    if not is_number(p, 2.0, 6.0):
+        raise SolitonError(f"exponent p={p!r} outside the subcritical range (2, 6)")
     k, gamma = _mass_law(p)
     theta = k ** (-1.0 / gamma) * (6.0 - p) / (2.0 * (p + 2.0))
     return SolitonModel(p=p, beta=(p - 2.0) / (6.0 - p), alpha=2.0 / (6.0 - p), theta=theta)
@@ -155,8 +149,8 @@ def energy_levels(model: SolitonModel, mu: float) -> tuple[float, float]:
     The halfline level is 2^(2 beta) times the line level; together they
     sandwich the ground-state level of any noncompact graph.
     """
-    if not 0.0 <= mu < math.inf:
-        raise SolitonError(f"mass {mu} is not nonnegative and finite")
+    if not (is_number(mu) and mu >= 0.0):
+        raise SolitonError(f"mass {mu!r} is not nonnegative and finite")
     line = -model.theta * mu ** (2.0 * model.beta + 1.0)
     half = 2.0 ** (2.0 * model.beta) * line
     return line, half
@@ -304,8 +298,8 @@ def compact_competitor(
     level at h = 0.02 and 0.901 at h = 0.01.  Raises when the support cannot
     fit on the edge (mass below the fitting threshold).
     """
-    if not (0.0 < eps < 1.0):
-        raise SolitonError("eps must lie in (0, 1)")
+    if not is_number(eps, 0.0, 1.0):
+        raise SolitonError(f"eps must lie in (0, 1), got {eps!r}")
     em = mesh.edge_mesh(edge_id)
     if em.is_halfline:
         raise SolitonError(f"edge {edge_id!r} is a halfline; competitors need a bounded edge")

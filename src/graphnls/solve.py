@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -23,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from . import functional as fn
 from . import verify
-from .graphs import MetricGraph
+from .graphs import MetricGraph, is_count, is_number
 from .mesh import (
     GraphFunction,
     Mesh,
@@ -62,18 +61,12 @@ class SolveConfig:
 
     def __post_init__(self):
         for what, x in (("grad tolerance", self.grad_tol), ("mesh spacing", self.h)):
-            if not _positive_finite(x):
+            if not is_number(x, 0.0):
                 raise SolveError(f"{what} {x!r} is not positive and finite")
-        if not (self.truncation == "auto" or _positive_finite(self.truncation)):
+        if not (self.truncation == "auto" or is_number(self.truncation, 0.0)):
             raise SolveError(f"truncation {self.truncation!r} is not 'auto' or positive and finite")
-        n = self.max_iter
-        if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        if not is_count(self.max_iter, 1):
             raise SolveError(f"max iterations {self.max_iter!r} is not an integer >= 1")
-
-
-def _positive_finite(x) -> bool:
-    """A real number (not a bool) in (0, inf)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0.0 < x < math.inf
 
 
 @dataclass
@@ -478,7 +471,8 @@ def _descend(
         return g + lam * it.Mx, lam
 
     it = _iterate_at(mesh, x, p)
-    shift = max(residual(it)[1], lam_line)
+    r, lam = residual(it)
+    shift = max(lam, lam_line)
     precond = mesh.factor(K.data + shift * M.data)
 
     e_now = fn.energy(GraphFunction(mesh, x), p).total
@@ -489,7 +483,6 @@ def _descend(
 
     for k in range(cfg.max_iter):
         iterations = k + 1
-        r, lam = residual(it)
         res = verify.strong_norm(mesh, r)
         if res <= switch_tol:
             break
@@ -512,6 +505,7 @@ def _descend(
             break  # stalled; hand over to Newton
         e_now, accept = trial
         it = accept()
+        r = residual(it)[0]
 
     # fold once, at the hand-over: |x| rescaled to mass mu (|x|.M|x| >=
     # x.Mx = mu > 0, since M is entrywise nonnegative)
@@ -765,8 +759,8 @@ def scan_mass_threshold(
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
     and ignored: the masses are solved serially."""
     grid = list(mu_grid)
-    increasing = all(a < b for a, b in zip(grid, grid[1:]))
-    if not (grid and increasing and all(_positive_finite(mu) for mu in grid)):
+    positive = all(is_number(mu, 0.0) for mu in grid)
+    if not (grid and positive and all(a < b for a, b in zip(grid, grid[1:]))):
         raise SolveError(f"mass grid {grid} must be nonempty, strictly increasing, finite and > 0")
     model = make_model(p)
     meshes = {}   # by truncation length, the only part of a mesh that depends on mu

@@ -175,14 +175,16 @@ def test_evolve_rejects_bad_steps(bound_state):
         evolve(u0, 4.0, t_final=1.0, dt=0.0)
     with pytest.raises(EvolveError):
         evolve(u0, 4.0, t_final=-1.0, dt=0.1)
-    for t_final, dt in ((1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1.0, math.inf)):
+    for t_final, dt in (
+        (1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1.0, math.inf), (1.0, True),
+    ):
         with pytest.raises(EvolveError):
             evolve(u0, 4.0, t_final=t_final, dt=dt)
     # too many steps is refused before the histories are allocated
     for t_final, dt in ((1e300, 1e-3), (1.0, 1e-300), (1.0 + 1e7, 1.0)):
         with pytest.raises(EvolveError, match="steps"):
             evolve(u0, 4.0, t_final=t_final, dt=dt)
-    for omega in (math.nan, math.inf):
+    for omega in (math.nan, math.inf, True):
         with pytest.raises(EvolveError, match="omega"):
             evolve(u0, 4.0, t_final=0.1, dt=0.01, omega=omega)
     for p in (2.0, 6.0, math.nan):
@@ -194,7 +196,7 @@ def test_evolve_rejects_bad_steps(bound_state):
         evolve(bad, 4.0, t_final=0.1, dt=0.01)
 
 
-@pytest.mark.parametrize("fp_tol", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("fp_tol", [math.nan, math.inf, -1.0, 0.0, True])
 def test_evolve_rejects_bad_fp_tol(bound_state, fp_tol):
     # a non-positive tolerance used to report a stalled iteration, and an
     # infinite one accepted the first sweep
@@ -218,10 +220,15 @@ def test_evolve_reports_a_blow_up_at_once(bound_state):
     "kwargs",
     [
         {"dt": math.nan},
+        {"dt": True},
         {"t_final": math.inf},
+        {"t_final": True},
         {"stride": 0},
+        {"stride": True},
+        {"stride": 2.5},
         {"epsilon": math.nan},
         {"epsilon": math.inf},
+        {"epsilon": True},
         {"seed": -1},
         {"seed": 1.5},
         {"seed": True},

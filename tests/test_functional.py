@@ -142,6 +142,26 @@ def test_rearrangement_symmetric_star_factor():
     assert fn.kinetic(v) <= fn.kinetic(u) / 9.0 + 1e-6
 
 
+@pytest.mark.parametrize("n_nodes", [1, 10, True, 2.5])
+def test_rearrangement_rejects_too_few_nodes(n_nodes):
+    # below 11 nodes the rearranged halfline is shorter than 10 h
+    mesh = build_mesh(halfline_graph(), h=0.01, trunc=5.0)
+    u = interpolate(mesh, {"h1": lambda x: np.clip(1.0 - x, 0.0, None)})
+    with pytest.raises(fn.FunctionalError, match="n_nodes"):
+        fn.rearrangement(u, n_nodes)
+
+
+@pytest.mark.parametrize("width", [1.0, 3.5])
+def test_rearrangement_on_the_fewest_nodes(width):
+    # a hat of width 3.5 has support L = 3.4999999999999996, where 10 (L / 10)
+    # rounds above L; a decreasing hat is its own rearrangement, exact in P1
+    mesh = build_mesh(halfline_graph(), h=0.01, trunc=5.0)
+    u = interpolate(mesh, {"h1": lambda x: np.clip(1.0 - x / width, 0.0, None)})
+    v = fn.rearrangement(u, 11)
+    assert v.mesh.edge_meshes[0].coords.size == 11
+    assert fn.mass(v) == pytest.approx(fn.mass(u), rel=1e-12)
+
+
 def test_preimage_count_essential():
     mesh = build_mesh(line_graph(10.0), h=0.01, trunc=3.0)
     # two separated bumps on the bounded edge: essential count 4 at mid levels
@@ -199,8 +219,9 @@ def test_ge3_bound_values():
     assert b1 == pytest.approx(-4.0 * model.theta, rel=1e-10)
     assert b2 == pytest.approx(-model.theta, rel=1e-10)
     assert b1 < b2 < b3 < 0.0
-    with pytest.raises(fn.FunctionalError):
-        fn.ge3_bound(1.0, 0, 4.0)
+    for n in (0, True, 2.5):
+        with pytest.raises(fn.FunctionalError, match="N must be"):
+            fn.ge3_bound(1.0, n, 4.0)
 
 
 def test_gn_and_linf_ratio_on_soliton():

@@ -258,7 +258,7 @@ def graphs(draw):
 
 
 @PROPERTY
-@given(st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan]))
+@given(st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan, True, "2"]))
 def test_edge_rejects_every_nonpositive_or_nonfinite_length(length):
     with pytest.raises(GraphError, match="positive finite length"):
         Edge("e", "a", "b", length)

@@ -60,7 +60,11 @@ def test_mesh_too_coarse():
 
 
 @pytest.mark.parametrize(
-    "kw", [{"h": math.nan}, {"h": math.inf}, {"trunc": math.nan}, {"trunc": math.inf}]
+    "kw",
+    [
+        {"h": math.nan}, {"h": math.inf}, {"h": True},
+        {"trunc": math.nan}, {"trunc": math.inf}, {"trunc": True}, {"trunc": "x"},
+    ],
 )
 def test_build_mesh_rejects_non_finite_spacing_or_truncation(kw):
     args = {"h": 0.02, "trunc": 5.0, **kw}

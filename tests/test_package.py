@@ -1,7 +1,8 @@
 """Package hygiene: no module imports a name it never uses, every import
 sits at module level, importing the package loads only the sparse parts of
-scipy, one function forms the Euler-Lagrange residual, and sparse matrices
-are assembled and the node table read only in ``mesh``."""
+scipy, one function forms the Euler-Lagrange residual, sparse matrices
+are assembled and the node table read only in ``mesh``, and numeric types
+are tested only in ``graphs``."""
 
 import ast
 import importlib
@@ -167,6 +168,40 @@ def test_only_mesh_reads_the_node_dof_table():
     # ndof; outside mesh.py it is read through Mesh.node_values and node_sum
     reads = {p.stem: node_dof_reads(p.read_text()) for p in ALL_MODULES if p.name != "mesh.py"}
     assert {stem: found for stem, found in reads.items() if found} == {}
+
+
+def numeric_type_tests(source: str) -> list[str]:
+    """``what (line n)`` for every ``isinstance(_, bool)`` call and every
+    import of ``numbers`` in ``source``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(getattr(k, "id", None) == "bool" for k in kinds):
+                found.append(f"isinstance bool (line {node.lineno})")
+        names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+        if "numbers" in names or (isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+            found.append(f"import numbers (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_numeric_type_tests():
+    src = (
+        "import numbers\nfrom numbers import Real\n\n"
+        "def f(x, n):\n    a = isinstance(x, bool) or isinstance(n, (int, bool))\n"
+        "    return a, isinstance(x, numbers.Real), isinstance(n, int)\n"
+    )
+    assert numeric_type_tests(src) == [
+        "import numbers (line 1)", "import numbers (line 2)",
+        "isinstance bool (line 5)", "isinstance bool (line 5)",
+    ]
+
+
+def test_only_graphs_tests_numeric_types():
+    # every numeric input check goes through graphs.is_number and is_count,
+    # so a bool is refused as a number or a count by one rule
+    uses = {p.stem: numeric_type_tests(p.read_text()) for p in ALL_MODULES if p.name != "graphs.py"}
+    assert {stem: found for stem, found in uses.items() if found} == {}
 
 
 def test_import_loads_no_scipy_quadrature_optimize_or_special():

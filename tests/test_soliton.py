@@ -86,7 +86,7 @@ def test_energy_levels_scaling_and_halfline_gain():
     assert half1 < line1 < 0.0
 
 
-@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, True, "3"])
 def test_energy_levels_reject_bad_mass(bad):
     with pytest.raises(SolitonError, match="nonnegative and finite"):
         energy_levels(make_model(4.0), bad)
@@ -125,7 +125,7 @@ def test_closed_forms_match_quadrature(p):
     assert sharp == pytest.approx(_gn_sharp_by_quadrature(model), rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "3"])
 def test_mass_lambda_maps_reject_bad_arguments(bad):
     model = make_model(4.0)
     with pytest.raises(SolitonError, match="positive and finite"):

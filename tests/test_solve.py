@@ -40,7 +40,7 @@ from graphnls.solve import (
     project_mass,
     scan_mass_threshold,
 )
-from graphnls.soliton import energy_levels, make_model, soliton_profile
+from graphnls.soliton import SolitonError, energy_levels, make_model, soliton_profile
 from graphnls.verify import VerificationReport
 
 CFG = SolveConfig(h=0.02, truncation=8.0)
@@ -77,6 +77,13 @@ def test_config_rejects_bad_grad_tol(bad):
 def test_config_rejects_bad_fields(kwargs):
     with pytest.raises(SolveError):
         SolveConfig(**kwargs)
+
+
+@pytest.mark.parametrize("mu", [True, "3"])
+def test_minimize_on_edge_rejects_a_mass_that_is_not_a_number(mu):
+    # the mass meets the multiplier map first, as a mass of 0 does
+    with pytest.raises(SolitonError, match="positive and finite"):
+        minimize_on_edge(example_graph(3), "e", mu, 4.0, CFG)
 
 
 def test_config_accepts_numpy_scalars_and_auto():
