@@ -112,6 +112,15 @@ class MetricGraph:
         return {"name": self.name, "vertices": list(self.vertices), "edges": edges}
 
 
+def first_twins(g: MetricGraph) -> dict[str, str]:
+    """Each edge id mapped to the first edge, in input order, of its twin
+    class.  Twins have the same unordered endpoints and the same length
+    (``None`` for a halfline), so exchanging two of them is an isometry of
+    the graph, and their constrained problems are mirror images."""
+    first: dict = {}
+    return {e.id: first.setdefault((frozenset((e.src, e.dst)), e.length), e.id) for e in g.edges}
+
+
 def _validate(g: MetricGraph) -> None:
     if len(set(g.vertices)) != len(g.vertices):
         repeated = sorted({v for v in g.vertices if g.vertices.count(v) > 1})
@@ -276,6 +285,8 @@ def halfline_graph(name: str = "halfline") -> MetricGraph:
 
 def star_graph(n: int = 3, name: str = "star") -> MetricGraph:
     """n halflines joined at a single vertex."""
+    if not is_count(n, 1):
+        raise GraphError(f"star size {n!r} is not an integer >= 1")
     return MetricGraph(
         vertices=("v1",),
         edges=tuple(Edge(f"h{i+1}", "v1") for i in range(n)),
@@ -338,6 +349,8 @@ def example_graph(n: int, **lengths) -> MetricGraph:
     4: halfline - terminal edge ``e`` / middle edge ``f`` / terminal edge
        ``g`` - halfline.
     """
+    if not is_count(n, 1):
+        raise GraphError(f"no built-in example {n!r}; choose 1-4")
     if n == 1:
         ell = lengths.get("length", 1.0)
         vertices, edges = _example1_edges(ell)

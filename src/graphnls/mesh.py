@@ -147,6 +147,20 @@ class Mesh:
         node-table entry) onto their dofs; a fixed zero's weight is dropped."""
         return np.bincount(self.node_dof, w, self.ndof + 1)[:-1]
 
+    def swap_twins(self, v: np.ndarray, a: str, b: str) -> np.ndarray:
+        """``v`` with the interior values of the twin edges ``a`` and ``b``
+        (``graphs.first_twins``) exchanged, each run reversed when the two
+        edges run opposite ways: ``v`` moved by the isometry that swaps
+        them."""
+        da, db = self.edge_mesh(a).dofs[1:-1], self.edge_mesh(b).dofs[1:-1]
+        if da.size != db.size:
+            raise MeshError(f"edges {a!r} and {b!r} are not twins")
+        if self.graph.edge(a).src != self.graph.edge(b).src:
+            db = db[::-1]
+        out = v.copy()
+        out[da], out[db] = v[db], v[da]
+        return out
+
     def stencil_matrix(self, data: np.ndarray, fmt: str = "csr", border=None):
         """The matrix A with entries ``data`` on the stencil pattern, as CSR
         or (``fmt="csc"``, for ``splu``; ``factor`` is the faster solver on
@@ -269,10 +283,14 @@ def truncation_length(
 ) -> float:
     """The halfline truncation length ``build_mesh`` uses: ``trunc`` itself,
     or for "auto" max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x)
-    tails are negligible at the far end."""
+    tails are negligible at the far end; ``lambda_est`` None stands for
+    0.16."""
+    if lambda_est is None:
+        lambda_est = 0.16
+    elif not is_number(lambda_est, 0.0):
+        raise MeshError(f"multiplier estimate {lambda_est!r} is not positive and finite")
     if trunc == "auto":
-        lam = lambda_est if lambda_est else 0.16
-        return max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lam))
+        return max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lambda_est))
     if not is_number(trunc, 0.0):
         raise MeshError(f"truncation length {trunc!r} is not positive and finite")
     L = float(trunc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from . import functional as fn
 from . import verify
-from .graphs import MetricGraph, is_count, is_number
+from .graphs import MetricGraph, first_twins, is_count, is_number
 from .mesh import (
     GraphFunction,
     Mesh,
@@ -656,27 +656,42 @@ def bound_state_catalogue(
     cfg: SolveConfig = SolveConfig(),
     jobs: int = 1,
 ) -> list[SolveReport]:
-    """One constrained minimization per bounded edge (k bound states for k
-    bounded edges at large mass).  ``jobs`` is accepted for callers that
-    still pass it (the benchmark does) and ignored: the edges are solved
-    serially."""
+    """One report per bounded edge, in input order (k bound states for k
+    bounded edges at large mass).  Only the first edge of each class of
+    twins (``graphs.first_twins``) is solved: a later twin's report is its
+    mirror image, the minimizer moved by ``Mesh.swap_twins`` and every
+    number copied, ``iterations`` included, with the status and margin
+    judged again on the moved state (``argmax`` breaks ties by input
+    order).  ``jobs`` is accepted for callers that still pass it (the
+    benchmark does) and ignored: the edges are solved serially."""
     edges = [e.id for e in g.bounded_edges]
     if not edges:
         raise SolveError("graph has no bounded edge")
     model = make_model(p)
     mesh = _resolve_mesh(g, cfg, model, mu)
-    return [minimize_on_edge(g, eid, mu, p, cfg, mesh=mesh) for eid in edges]
+    first = first_twins(g)
+    reports = {}
+    for eid in edges:
+        if first[eid] == eid:
+            reports[eid] = minimize_on_edge(g, eid, mu, p, cfg, mesh=mesh)
+            continue
+        rep = reports[first[eid]]
+        u = GraphFunction(mesh, mesh.swap_twins(rep.minimizer.values, rep.edge, eid))
+        status, margin, _, _ = _classify(mesh, u, rep.lam, mu, eid, rep.converged)
+        reports[eid] = replace(
+            rep, minimizer=u, status=status, localization_margin=margin, edge=eid
+        )
+    return list(reports.values())
 
 
 def _halfline_starts(mesh: Mesh, model: SolitonModel, mu: float):
-    """One half-soliton start per vertex that carries a halfline, on the
-    first halfline there in input order: halflines at one vertex are swapped
-    by a graph automorphism, so their descents are mirror images."""
+    """One half-soliton start per class of twin halflines
+    (``graphs.first_twins``: the halflines at one vertex), on its first
+    halfline in input order: twins are swapped by an isometry of the graph,
+    so their descents are mirror images."""
     f = soliton_profile(model, 2.0 * mu)[0]
-    first = {}
-    for e in mesh.graph.halflines:
-        first.setdefault(e.src, e.id)
-    return [interpolate(mesh, {eid: f}) for eid in first.values()]
+    first = first_twins(mesh.graph)
+    return [interpolate(mesh, {e.id: f}) for e in mesh.graph.halflines if first[e.id] == e.id]
 
 
 def ground_state(
@@ -686,9 +701,12 @@ def ground_state(
     cfg: SolveConfig = SolveConfig(),
 ) -> SolveReport:
     """Best-of search for a mass-mu ground state, started only where a
-    maximum can sit: constrained solves on all bounded edges, then one
-    unconstrained descent per halfline vertex from a half-soliton start
-    (``_halfline_starts``).  Candidates within the Newton tolerance
+    maximum can sit: one constrained solve per class of twin bounded edges
+    (``graphs.first_twins``), on its first edge, then one unconstrained
+    descent per halfline vertex from a half-soliton start
+    (``_halfline_starts``).  A skipped twin's solve is the mirror image of
+    its first edge's, with the same energy, so it would tie with it and
+    lose the tie.  Candidates within the Newton tolerance
     grad_tol * max(1, mu) of the lowest energy tie, and the first of them in
     that order wins, so that mirror images, or one state reached by two
     routes, do not swap on roundoff or on solver noise.  The returned energy
@@ -700,7 +718,10 @@ def ground_state(
     _resolved_multiplier(mesh, mu, p)
     candidates: list[SolveReport] = []
 
+    first = first_twins(g)
     for e in g.bounded_edges:
+        if first[e.id] != e.id:
+            continue
         try:
             candidates.append(minimize_on_edge(g, e.id, mu, p, cfg, mesh=mesh))
         except SolveError:

@@ -11,6 +11,7 @@ from graphnls.graphs import (
     MetricGraph,
     double_bridge_graph,
     example_graph,
+    first_twins,
     halfline_graph,
     line_graph,
     load_graph,
@@ -230,6 +231,42 @@ def test_fixture_shapes():
 def test_example_graph_bad_index():
     with pytest.raises(GraphError):
         example_graph(7)
+
+
+@pytest.mark.parametrize("n", [0, True, 2.5, 1.0, "1"])
+def test_example_graph_needs_an_integer_index(n):
+    with pytest.raises(GraphError, match="no built-in example"):
+        example_graph(n)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.5, "3"])
+def test_star_graph_needs_a_count_of_at_least_one(n):
+    with pytest.raises(GraphError, match="star size"):
+        star_graph(n)
+
+
+@pytest.mark.parametrize(
+    "g, classes",
+    [
+        # e6/e7/e8 and e9/e10 share endpoints and length, h3/h4 their vertex
+        (example_graph(1), {"e7": "e6", "e8": "e6", "e10": "e9", "h4": "h3"}),
+        (example_graph(3), {"g": "f", "h2": "h1"}),
+        # the direction of an edge does not matter
+        (MetricGraph(("v1", "v2"), tuple(Edge("g", "v2", "v1", 1.0) if e.id == "g" else e
+                                         for e in example_graph(3).edges)),
+         {"g": "f", "h2": "h1"}),
+        # nor does it for a self-loop, but its length does
+        (MetricGraph(("a",), (Edge("l1", "a", "a", 1.0), Edge("l2", "a", "a", 1.0),
+                              Edge("l3", "a", "a", 2.0), Edge("h", "a"))), {"l2": "l1"}),
+        (MetricGraph(("a", "b"), (Edge("f", "a", "b", 1.0), Edge("g", "a", "b", 1.5),
+                                  Edge("h", "a"))), {}),
+        (example_graph(4), {}),
+        (star_graph(3), {"h2": "h1", "h3": "h1"}),
+        (line_graph(), {}),
+    ],
+)
+def test_first_twins_maps_each_edge_to_the_first_of_its_class(g, classes):
+    assert first_twins(g) == {e.id: classes.get(e.id, e.id) for e in g.edges}
 
 
 # Property tests: derandomized and small, so that they run the same

@@ -422,6 +422,30 @@ def test_auto_truncation_grows_with_flat_states():
     assert L2 > L1  # flatter decay needs a longer computational box
 
 
+@pytest.mark.parametrize("lam", [-1.0, 0.0, math.nan, math.inf, True])
+def test_truncation_rejects_a_multiplier_estimate_that_is_not_positive_and_finite(lam):
+    with pytest.raises(MeshError, match="multiplier estimate"):
+        build_mesh(halfline_graph(), 0.01, lambda_est=lam)
+
+
+def test_swap_twins_moves_a_function_onto_its_reversed_twin():
+    # g runs v2 -> v1, f v1 -> v2: the swap reverses each run
+    g = MetricGraph(
+        ("v1", "v2"),
+        tuple(Edge("g", "v2", "v1", 1.0) if e.id == "g" else e for e in example_graph(3).edges),
+    )
+    mesh = build_mesh(g, h=0.1, trunc=2.0)
+    u = interpolate(mesh, {"f": lambda x: x * (1.0 - x) ** 2, "h1": lambda x: 0.1 * (2.0 - x)})
+    w = GraphFunction(mesh, mesh.swap_twins(u.values, "f", "g"))
+    np.testing.assert_array_equal(w.edge_values("g")[1:-1], u.edge_values("f")[-2:0:-1])
+    np.testing.assert_array_equal(w.edge_values("f")[1:-1], u.edge_values("g")[-2:0:-1])
+    for eid in ("e", "h1", "h2"):
+        np.testing.assert_array_equal(w.edge_values(eid), u.edge_values(eid))
+    np.testing.assert_array_equal(mesh.swap_twins(w.values, "f", "g"), u.values)
+    with pytest.raises(MeshError, match="not twins"):
+        mesh.swap_twins(u.values, "e", "h1")
+
+
 def test_halfline_needs_room():
     with pytest.raises(MeshError):
         build_mesh(halfline_graph(), h=0.5, trunc=1.0)

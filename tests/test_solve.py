@@ -9,6 +9,8 @@ from scipy.sparse.linalg import eigsh, splu
 from graphnls import functional as fn
 from graphnls import solve as solve_module
 from graphnls.graphs import (
+    Edge,
+    MetricGraph,
     double_bridge_graph,
     example_graph,
     halfline_graph,
@@ -623,6 +625,66 @@ def test_halfline_starts_one_per_halfline_vertex(g, first_halflines):
     for u0, eid in zip(starts, first_halflines):
         expected = place_profile(mesh, eid, f, 0.0)
         np.testing.assert_array_equal(u0.values, expected.values)
+
+
+def _counting_edge_solves(monkeypatch):
+    """The edges that ``minimize_on_edge`` is called on, as they come."""
+    edges = []
+    real_solve = solve_module.minimize_on_edge
+
+    def counting_solve(g, edge_id, *args, **kwargs):
+        edges.append(edge_id)
+        return real_solve(g, edge_id, *args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "minimize_on_edge", counting_solve)
+    return edges
+
+
+def _reversed(g, edge_ids):
+    """``g`` with the bounded edges ``edge_ids`` run the other way."""
+    return MetricGraph(
+        g.vertices,
+        tuple(Edge(e.id, e.dst, e.src, e.length) if e.id in edge_ids else e for e in g.edges),
+        g.name,
+    )
+
+
+def test_ground_state_solves_one_edge_per_twin_class(monkeypatch):
+    # f and g are twins: g's solve would be f's mirror image and lose the tie
+    edges = _counting_edge_solves(monkeypatch)
+    rep = ground_state(example_graph(3), 10.0, 4.0, SolveConfig(h=0.01, truncation=6.0))
+    assert edges == ["e", "f"]
+    assert (rep.edge, rep.status) == ("e", "interior")
+    assert rep.energy.total == pytest.approx(-10.415907361771684, rel=1e-12)
+
+
+def test_catalogue_mirrors_a_twin_onto_its_reversed_edge(monkeypatch):
+    g = _reversed(example_graph(3), {"g"})
+    cfg = SolveConfig(h=0.02, truncation=4.0)
+    edges = _counting_edge_solves(monkeypatch)
+    reports = bound_state_catalogue(g, 20.0, 4.0, cfg)
+    assert edges == ["e", "f"]
+    twin = reports[2]
+    alone = minimize_on_edge(g, "g", 20.0, 4.0, cfg, mesh=twin.minimizer.mesh)
+    assert (twin.edge, twin.status) == ("g", alone.status) == ("g", "interior")
+    assert twin.iterations == reports[1].iterations
+    assert twin.energy.total == pytest.approx(alone.energy.total, rel=1e-12)
+    assert twin.lam == pytest.approx(alone.lam, rel=1e-12)
+    np.testing.assert_allclose(
+        twin.minimizer.values, alone.minimizer.values,
+        rtol=0, atol=1e-9 * np.max(alone.minimizer.values),
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_catalogue_is_invariant_under_reversing_every_edge(n):
+    g = example_graph(n)
+    cfg = SolveConfig(h=0.02, truncation=4.0)
+    forward = bound_state_catalogue(g, 20.0, 4.0, cfg)
+    backward = bound_state_catalogue(_reversed(g, {e.id for e in g.bounded_edges}), 20.0, 4.0, cfg)
+    for a, b in zip(forward, backward):
+        assert (a.edge, a.status) == (b.edge, b.status)
+        assert b.energy.total == pytest.approx(a.energy.total, rel=1e-12)
 
 
 def test_ground_state_halfline_makes_one_free_descent(monkeypatch):
