@@ -41,7 +41,7 @@ from .graphs import (
     star_graph,
 )
 from .mesh import MeshError
-from .soliton import SolitonError, make_model
+from .soliton import SolitonError
 from .solve import (
     SolveConfig,
     SolveError,
@@ -161,7 +161,7 @@ def _cmd_scan(args):
 
 def _cmd_verify(args):
     report = minimize_on_edge(_graph(args), args.edge, args.mass, args.p, _config(args))
-    verification = certify(report, make_model(args.p))
+    verification = certify(report)
     doc = {**report.to_dict(include_function=False), "verify": verification.to_dict()}
     return doc, _state_rows(report.minimizer)
 

@@ -54,6 +54,20 @@ def _mass_law(p: float) -> tuple[float, float]:
     return k, gamma
 
 
+def _power_law(c: float, x: float, e: float, arg: str, image: str) -> float:
+    """c * x^e (e > 0), or a SolitonError when it leaves the positive finite
+    floats: ``arg`` is then too large (an overflow counts as inf) or too
+    small (an underflow to 0)."""
+    try:
+        y = c * x ** e
+    except OverflowError:
+        y = math.inf
+    if not is_number(y, 0.0):
+        size = "small" if y == 0.0 else "large"
+        raise SolitonError(f"{arg} is too {size}: its {image} {y:g} is not positive and finite")
+    return y
+
+
 def _amplitude_width(p: float, lam: float) -> tuple[float, float]:
     """(A, B) of the lambda-soliton A * sech(B x)^q."""
     q = 2.0 / (p - 2.0)
@@ -78,17 +92,14 @@ class SolitonModel:
         if not is_number(mu, 0.0):
             raise SolitonError(f"mass must be positive and finite, got {mu!r}")
         k, gamma = _mass_law(self.p)
-        try:
-            return (mu / k) ** (1.0 / gamma)
-        except OverflowError:
-            raise SolitonError(f"mass {mu:g} is too large: its multiplier overflows") from None
+        return _power_law(1.0, mu / k, 1.0 / gamma, f"mass {mu:g}", "multiplier")
 
     def mass_for_lambda(self, lam: float) -> float:
         """Mass of the line soliton with multiplier lam."""
         if not is_number(lam, 0.0):
             raise SolitonError(f"multiplier must be positive and finite, got {lam!r}")
         k, gamma = _mass_law(self.p)
-        return k * lam ** gamma
+        return _power_law(k, lam, gamma, f"multiplier {lam:g}", "mass")
 
 
 @lru_cache(maxsize=None)

@@ -774,9 +774,9 @@ def scan_mass_threshold(
     """Empirical probe of the mass threshold: solve at each grid mass and
     record the first with an interior minimizer.  Masses whose meshes have
     the same truncation length share one mesh.  A mass whose solve raises
-    ``SolveError`` or ``SolitonError`` (a multiplier that overflows) is
-    ``not-converged``, with the error's message as its entry of
-    ``reasons``; a bad grid raises ``SolveError`` before any solve.
+    ``SolveError`` or ``SolitonError`` (a multiplier that overflows or
+    underflows) is ``not-converged``, with the error's message as its entry
+    of ``reasons``; a bad grid raises ``SolveError`` before any solve.
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
     and ignored: the masses are solved serially."""
     grid = list(mu_grid)

@@ -97,13 +97,19 @@ def test_solve_numerical_failure_exit_code():
         ["ground", "--graph", "double-bridge", "--mass", "1e200"],
         ["verify", "--graph", "double-bridge", "--edge", "e", "--mass", "1e200"],
         ["catalogue", "--graph", "double-bridge", "--mass", "1e200"],
+        [
+            "solve", "--graph", "double-bridge", "--edge", "e", "--mass", "1e-200",
+            "--h", "0.02", "--trunc", "20",
+        ],
     ],
 )
 def test_huge_mass_is_a_numerical_failure_with_one_line(argv, capsys):
-    # the line multiplier (mu / 4)^2 of mass 1e200 overflows a float at p = 4
+    # the line multiplier (mu / 4)^2 of mass 1e200 overflows a float at p = 4,
+    # and that of mass 1e-200 underflows to 0
     assert run(argv) == 2
+    mass = float(argv[argv.index("--mass") + 1])
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: mass 1e+200") and err.count("\n") == 1
+    assert err.startswith(f"numerical failure: mass {mass:g}") and err.count("\n") == 1
 
 
 def test_ground_halfline(tmp_path):
@@ -268,6 +274,14 @@ def test_verify_subcommand(tmp_path):
     doc = read_json(out)
     assert doc["verify"]["all_ok"] is True
     assert doc["verify"]["positive"] is True
+    # at the defaults (h 0.01, trunc auto = 20) the tail underflows far below
+    # any relative floor, and the interior state is still positive
+    out = tmp_path / "e1.json"
+    rc = run(["verify", "--graph", "example1", "--edge", "e1", "--mass", "16", "--out", str(out)])
+    assert rc == 0
+    doc = read_json(out)
+    assert doc["status"] == "interior"
+    assert doc["verify"]["all_ok"] is True
 
 
 def test_evolve_subcommand(tmp_path):

@@ -25,7 +25,7 @@ from graphnls.mesh import (
     place_profile,
     zero_function,
 )
-from graphnls.soliton import _profile_callables, make_model
+from graphnls.soliton import _profile_callables
 from graphnls.solve import _translation_pin_vector, migrated_mass
 from graphnls.verify import certify, localization_margin
 
@@ -241,16 +241,16 @@ def _margin_per_edge(u, edge_id):
     return on - off
 
 
-def _positive_per_edge(u, lam):
+def _positive_per_edge(u):
     mesh = u.mesh
-    layer = 1.0 / math.sqrt(lam)
-    mask = np.ones(mesh.ndof, dtype=bool)
+    ext = np.append(u.values, 0.0)
     for em in mesh.edge_meshes:
-        if em.is_halfline:
-            cut = em.coords[-1] - min(layer, em.coords[-1] / 2.0)
-            mask[em.dofs[(em.coords > cut) & (em.dofs < mesh.ndof)]] = False
-    v = u.values
-    return bool(np.all(v[mask] > 1e-12 * np.max(v)) and np.all(v[~mask] >= 0.0))
+        v = ext[em.dofs]
+        if em.is_halfline:   # zeros trailing to the truncated end are allowed
+            v = np.trim_zeros(v, "b")
+        if not np.all(v > 0.0):
+            return False
+    return True
 
 
 def _pin_vector_per_edge(mesh, edge_id, p, lam, c):
@@ -269,7 +269,6 @@ def test_table_reads_match_per_edge_loops(graph):
     # and bounded edges longer than half the truncation; the double bridge
     # has four truncated halflines
     mesh = build_mesh(graph, h=0.05, trunc=1.0)
-    model = make_model(4.0)
     halfline_dofs = np.concatenate(
         [em.dofs[1:-1] for em in mesh.edge_meshes if em.is_halfline]
     )
@@ -280,16 +279,18 @@ def test_table_reads_match_per_edge_loops(graph):
         for em in mesh.edge_meshes:
             assert localization_margin(u, em.edge_id) == _margin_per_edge(u, em.edge_id)
     outcomes = set()
-    for lam in (0.25, 16.0):   # the tail cut at L/2, and at L - 1/sqrt(lam) > L/2
+    for lam in (0.25, 16.0):   # two multipliers for the pin vector
         base = rng.uniform(0.1, 1.0, mesh.ndof)
-        for k in halfline_dofs:   # one zero at each halfline node in turn
+        # one zero at each halfline node in turn; only the one next to the
+        # truncated end trails to it
+        for k in halfline_dofs:
             u = GraphFunction(mesh, base.copy())
             u.values[k] = 0.0
             report = SimpleNamespace(
-                minimizer=u, mass=fn.mass(u), lam=lam, energy=fn.energy(u, 4.0), edge=None
+                minimizer=u, mass=fn.mass(u), energy=fn.energy(u, 4.0), p=4.0, ground_claim=True
             )
-            positive = certify(report, model).positive
-            assert positive == _positive_per_edge(u, lam)
+            positive = certify(report).positive
+            assert positive == _positive_per_edge(u)
             outcomes.add(positive)
         for em in mesh.edge_meshes:
             c = rng.uniform(0.0, em.coords[-1])

@@ -125,13 +125,17 @@ def test_closed_forms_match_quadrature(p):
     assert sharp == pytest.approx(_gn_sharp_by_quadrature(model), rel=1e-10, abs=0.0)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "3"])
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "3", 1e-200, 1e300]
+)
 def test_mass_lambda_maps_reject_bad_arguments(bad):
-    model = make_model(4.0)
+    # an argument, or a result, that is not positive and finite: the
+    # multiplier (mu / 4)^2 at p = 4 and the mass k lam^3.5 at p = 2.5
+    # underflow to 0 at 1e-200 and overflow at 1e300
     with pytest.raises(SolitonError, match="positive and finite"):
-        model.lambda_for_mass(bad)
+        make_model(4.0).lambda_for_mass(bad)
     with pytest.raises(SolitonError, match="positive and finite"):
-        model.mass_for_lambda(bad)
+        make_model(2.5).mass_for_lambda(bad)
 
 
 def test_lambda_for_a_huge_mass_is_a_soliton_error():
@@ -328,9 +332,9 @@ def test_fitting_competitor_and_certify_run_no_quadrature(monkeypatch):
     u = compact_competitor(model, 50.0, 0.1, mesh, edge)
     assert mass(u) == pytest.approx(50.0, rel=1e-12)
     report = SimpleNamespace(
-        minimizer=u, mass=50.0, lam=model.lambda_for_mass(50.0), energy=energy(u, 4.0), edge=edge
+        minimizer=u, mass=50.0, energy=energy(u, 4.0), p=4.0, ground_claim=False
     )
-    ver = certify(report, model)
+    ver = certify(report)
     assert ver.gn_sharp == gn_sharp_constant(model)
     assert ver.gn_ok
 

@@ -800,11 +800,13 @@ def test_scan_keeps_the_reason_a_mass_failed():
 
 
 def test_scan_reports_a_mass_whose_multiplier_overflows():
+    # or underflows to 0, as the multiplier of mass 1e-200 does at p = 4
     cfg = SolveConfig(h=0.02, truncation=20.0)
-    report = scan_mass_threshold(double_bridge_graph(1.0), "e", 4.0, [1.0, 1e300], cfg)
-    assert report.statuses == ["escaped", "not-converged"]
-    assert report.reasons[0] is None
-    assert report.reasons[1].startswith("mass 1e+300 is too large")
+    report = scan_mass_threshold(double_bridge_graph(1.0), "e", 4.0, [1e-200, 1.0, 1e300], cfg)
+    assert report.statuses == ["not-converged", "escaped", "not-converged"]
+    assert report.reasons[0].startswith("mass 1e-200 is too small")
+    assert report.reasons[1] is None
+    assert report.reasons[2].startswith("mass 1e+300 is too large")
 
 
 def test_scan_rejects_bad_grid():

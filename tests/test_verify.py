@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from graphnls.graphs import (
     line_graph,
     star_graph,
 )
-from graphnls.mesh import build_mesh, interpolate, place_profile
+from graphnls.functional import energy, ge3_bound, mass
+from graphnls.mesh import GraphFunction, build_mesh, interpolate, place_profile
 from graphnls.solve import SolveConfig, ground_state, minimize_on_edge
-from graphnls.soliton import make_model, soliton_profile
+from graphnls.soliton import energy_levels, gn_sharp_constant, make_model, soliton_profile
 from graphnls.verify import (
     VerifyError,
     certify,
@@ -134,7 +137,7 @@ def test_localization_margin_sign():
 
 
 def test_certify_interior_bound_state(bridge_report):
-    rep = certify(bridge_report, make_model(4.0))
+    rep = certify(bridge_report)
     assert rep.positive
     assert rep.sandwich_ok is None  # not a ground-state claim
     assert rep.gn_ok
@@ -146,7 +149,7 @@ def test_certify_interior_bound_state(bridge_report):
 
 
 def test_certify_ground_state_sandwich(halfline_ground):
-    ver = certify(halfline_ground, make_model(4.0))
+    ver = certify(halfline_ground)
     assert ver.sandwich_ok is True
     assert ver.positive
     assert ver.all_ok
@@ -160,6 +163,75 @@ def test_certify_flags_energy_outside_sandwich(bridge_report):
 
     fake = copy.copy(bridge_report)
     fake.ground_claim = True
-    ver = certify(fake, make_model(4.0))
+    ver = certify(fake)
     assert ver.sandwich_ok is False
     assert not ver.all_ok
+
+
+@pytest.mark.parametrize(
+    "graph, edge, mu, cfg, underflows",
+    [
+        (example_graph(1), "e1", 16.0, SolveConfig(), False),
+        (example_graph(3), "e", 150.0, SolveConfig(h=0.02), True),
+    ],
+    ids=["example1-mu16", "example3-mu150"],
+)
+def test_certify_accepts_a_tail_that_decays_below_any_floor(graph, edge, mu, cfg, underflows):
+    # at trunc auto the tail falls far below 1e-12 of the peak; at mu 150 it
+    # underflows to exact zeros that trail to the truncated end
+    rep = minimize_on_edge(graph, edge, mu, 4.0, cfg)
+    assert rep.status == "interior"
+    ver = certify(rep)
+    assert ver.positive
+    assert ver.all_ok
+    assert ver.min_value < 1e-40 * rep.minimizer.values.max()
+    assert (ver.min_value == 0.0) is underflows
+
+
+@pytest.mark.parametrize(
+    "where, positive",
+    [
+        ("trailing", True),
+        ("mid-halfline", False),
+        ("bounded", False),
+        ("bounded-run", False),
+        ("vertex", False),
+        ("negative", False),
+    ],
+)
+def test_positivity_allows_only_zeros_that_trail_to_a_truncated_end(where, positive):
+    mesh = build_mesh(double_bridge_graph(1.0), h=0.05, trunc=4.0)
+    u = GraphFunction(mesh, np.ones(mesh.ndof))
+    tail = mesh.edge_mesh("h1").dofs[1:-1]   # interior dofs, toward the truncated end
+    half = tail.size // 2
+    if where == "trailing":
+        u.values[tail[half:]] = 0.0
+    elif where == "mid-halfline":
+        u.values[tail[half]] = 0.0
+    elif where == "bounded":
+        u.values[mesh.edge_mesh("e").dofs[2]] = 0.0
+    elif where == "bounded-run":   # zero from mid-e over its end v2 and all of h3, h4
+        e = mesh.edge_mesh("e").dofs
+        u.values[e[e.size // 2:]] = 0.0
+        for h in ("h3", "h4"):
+            u.values[mesh.edge_mesh(h).dofs[:-1]] = 0.0
+    elif where == "vertex":
+        u.values[mesh.edge_mesh("h1").dofs[0]] = 0.0
+    else:   # below zero next to the truncated end
+        u.values[tail[-1]] = -1e-300
+    report = SimpleNamespace(
+        minimizer=u, mass=mass(u), energy=energy(u, 4.0), p=4.0, ground_claim=False
+    )
+    assert certify(report).positive is positive
+
+
+def test_certify_reads_the_exponent_from_the_report():
+    # a p = 3 state is measured against the p = 3 levels and constants
+    rep = minimize_on_edge(example_graph(3), "e", 10.0, 3.0, SolveConfig(h=0.01, truncation=6.0))
+    ver = certify(rep)
+    model = make_model(3.0)
+    line, half = energy_levels(model, rep.mass)
+    assert ver.line_level == line
+    assert ver.halfline_level == half
+    assert ver.gn_sharp == gn_sharp_constant(model)
+    assert ver.ge3_level == ge3_bound(rep.mass, ver.preimage_n, 3.0)
