@@ -224,7 +224,7 @@ def rearrangement(u: GraphFunction, n_nodes: int = 4001) -> GraphFunction:
     g = halfline_graph(name="rearranged")
     target_h = support / (n_nodes - 1)
     m = build_mesh(g, target_h, trunc=support)
-    return interpolate(m, {m.edge_meshes[0].edge_id: lambda x: np.interp(x, px, pv)})
+    return interpolate(m, {g.edges[0].id: lambda x: np.interp(x, px, pv)})
 
 
 def preimage_count(u: GraphFunction, levels) -> tuple[list[int], int]:

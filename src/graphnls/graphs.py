@@ -20,8 +20,12 @@ class GraphError(ValueError):
 
 
 def is_number(x, lo: float = -math.inf, hi: float = math.inf) -> bool:
-    """x is a real number, not a bool, with lo < x < hi (so finite)."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and lo < x < hi
+    """x is a real number, not a bool, with lo < x < hi (so finite), that a
+    float holds: an integer past the float range is refused."""
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and lo < float(x) < hi
+    except OverflowError:
+        return False
 
 
 def is_count(x, least: int) -> bool:

@@ -9,6 +9,9 @@ strongly: they are the natural conditions of the assembled quadratic form.
 The vertex dofs come first, then each edge's interior dofs in order along
 the edge, so every stencil matrix is a tridiagonal chain over the interior
 dofs bordered by the vertex dofs, the split that ``Mesh.factor`` uses.
+Per-edge reads go through the element and node tables (``argmax`` is one
+``np.argmax`` over the node table); a halfline of more than
+``MAX_HALFLINE_ELEMENTS`` elements is refused before it is built.
 """
 
 from __future__ import annotations
@@ -24,6 +27,9 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .graphs import MetricGraph, is_number
 
 DEFAULT_TRUNCATION = 20.0
+# the most elements a halfline may take: a longer truncation (the "auto"
+# one of a tiny mass) is refused before anything is allocated
+MAX_HALFLINE_ELEMENTS = 10**6
 
 
 class MeshError(ValueError):
@@ -47,7 +53,6 @@ class Mesh:
     graph: MetricGraph
     h: float
     edge_meshes: tuple[EdgeMesh, ...]
-    vertex_dof: Mapping[str, int]
     ndof: int
     truncation: float
 
@@ -64,11 +69,9 @@ class Mesh:
     node_dof: np.ndarray = field(init=False, repr=False)
     node_edge: np.ndarray = field(init=False, repr=False)
     node_x: np.ndarray = field(init=False, repr=False)
-    # per dof: the first node-table position that holds it
-    dof_first_node: np.ndarray = field(init=False, repr=False)
     # per edge index: whether the edge is a (truncated) halfline
     edge_halfline: np.ndarray = field(init=False, repr=False)
-    vertex_dofs: np.ndarray = field(init=False, repr=False)      # sorted
+    vertex_dofs: np.ndarray = field(init=False, repr=False)      # 0 ... nv - 1
     interior_mask: np.ndarray = field(init=False, repr=False)    # not a vertex dof
     # the sparsity pattern of the P1 stencil, shared (read-only) by every
     # matrix on it: its column indices and row pointers, the data slot of
@@ -105,11 +108,9 @@ class Mesh:
         sizes = np.array([em.dofs.size for em in ems])
         self.node_edge = np.repeat(np.arange(len(ems)), sizes)
         self.el_edge = np.repeat(np.arange(len(ems)), sizes - 1)
-        dofs, first = np.unique(self.node_dof, return_index=True)
-        self.dof_first_node = first[dofs < self.ndof]
         self.edge_halfline = np.array([em.is_halfline for em in ems])
         self._edge_index = {em.edge_id: i for i, em in enumerate(ems)}
-        self.vertex_dofs = np.array(sorted(self.vertex_dof.values()), dtype=int)
+        self.vertex_dofs = np.arange(len(self.graph.vertices))
         self.interior_mask = np.ones(self.ndof, dtype=bool)
         self.interior_mask[self.vertex_dofs] = False
         self._assemble()
@@ -284,19 +285,29 @@ def truncation_length(
     """The halfline truncation length ``build_mesh`` uses: ``trunc`` itself,
     or for "auto" max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x)
     tails are negligible at the far end; ``lambda_est`` None stands for
-    0.16."""
+    0.16.  Refused when a halfline would take more than
+    ``MAX_HALFLINE_ELEMENTS`` elements of size ``h``."""
+    if not is_number(h, 0.0):
+        raise MeshError(f"mesh spacing h={h!r} is not positive and finite")
     if lambda_est is None:
         lambda_est = 0.16
     elif not is_number(lambda_est, 0.0):
         raise MeshError(f"multiplier estimate {lambda_est!r} is not positive and finite")
     if trunc == "auto":
-        return max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lambda_est))
-    if not is_number(trunc, 0.0):
+        L = max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lambda_est))
+    elif not is_number(trunc, 0.0):
         raise MeshError(f"truncation length {trunc!r} is not positive and finite")
-    L = float(trunc)
-    # up to roundoff, as in build_mesh: rearrangement may take h = L / 10
-    if L < 10 * h * (1.0 - 1e-12):
-        raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
+    else:
+        L = float(trunc)
+        # up to roundoff, as in build_mesh: rearrangement may take h = L / 10
+        if L < 10 * h * (1.0 - 1e-12):
+            raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
+    if L / h > MAX_HALFLINE_ELEMENTS:
+        raise MeshError(
+            f"a halfline truncated at {L:.4g} with h={h} takes {L / h:.3g} elements, "
+            f"over the limit of {MAX_HALFLINE_ELEMENTS}; give a shorter fixed "
+            "truncation or a larger h"
+        )
     return L
 
 
@@ -308,14 +319,12 @@ def build_mesh(
 ) -> Mesh:
     """Build a glued P1 mesh with target spacing ``h`` and the halfline
     truncation length ``truncation_length(h, trunc, lambda_est)``."""
-    if not is_number(h, 0.0):
-        raise MeshError(f"mesh spacing h={h!r} is not positive and finite")
+    L = truncation_length(h, trunc, lambda_est)
     ell = g.shortest_bounded_length
     if ell is not None and h >= ell / 2.0:
         raise MeshError(
             f"mesh too coarse: h={h} but the shortest bounded edge has length {ell}"
         )
-    L = truncation_length(h, trunc, lambda_est)
 
     vertex_dof = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)
@@ -342,7 +351,6 @@ def build_mesh(
         graph=g,
         h=h,
         edge_meshes=tuple(edge_meshes),
-        vertex_dof=vertex_dof,
         ndof=ndof,
         truncation=L,
     )
@@ -442,15 +450,13 @@ def place_profile(
 def argmax(u: GraphFunction) -> tuple[str, float, float]:
     """Location of the maximum of |u|: (edge id, coordinate, value).
 
-    Ties break by edge input order, then by smallest coordinate (the first
-    maximum of the node table): of the dofs attaining the maximum, the one
-    whose first node-table position is smallest wins.
+    Ties break by edge input order, then by smallest coordinate: the first
+    maximum of the node table, which runs in edge order, then coordinate
+    order.
     """
     mesh = u.mesh
-    vals = np.abs(u.values)
-    top = vals.max()
-    if top == 0.0:
+    vals = np.abs(mesh.node_values(u.values))
+    k = int(np.argmax(vals))
+    if vals[k] == 0.0:
         raise MeshError("argmax of the zero function is undefined")
-    k = int(mesh.dof_first_node[vals == top].min())
-    em = mesh.edge_meshes[mesh.node_edge[k]]
-    return em.edge_id, float(mesh.node_x[k]), float(top)
+    return mesh.edge_meshes[mesh.node_edge[k]].edge_id, float(mesh.node_x[k]), float(vals[k])

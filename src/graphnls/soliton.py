@@ -21,7 +21,7 @@ quadrature.  In soliton units y = B x its three integrals run over
 composite Gauss-Legendre rule covers them: unit-width panels, then panels
 halving in width toward y_c, where (sech^q y - kappa)^p has an algebraic
 zero of order p.  The cut level is the root of that energy minus its
-target, found by Illinois regula falsi on a fixed bracket.
+target, found by bisection on a fixed bracket to float resolution.
 """
 
 from __future__ import annotations
@@ -235,31 +235,6 @@ def _truncated_energy(model: SolitonModel, mu: float, cut: float, half: bool) ->
     return float(factor * (0.5 * scale ** 2 * kin_half - pot_half / p))
 
 
-def _illinois_root(
-    f: Callable[[float], float], lo: float, hi: float, f_lo: float, f_hi: float, xtol: float
-) -> float:
-    """Root of f in [lo, hi], where f_lo = f(lo) < 0 <= f_hi = f(hi), by
-    Illinois regula falsi: a false-position step, halving the stored value
-    at an end the bracket kept twice running, so both ends close in
-    superlinearly.  Returns the last step once the bracket is within xtol."""
-    kept = 0   # -1: lo kept on the last step, +1: hi kept, 0: neither yet
-    while True:
-        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        fx = f(x)
-        if fx == 0.0 or hi - lo <= xtol:
-            return x
-        if fx < 0.0:
-            lo, f_lo = x, fx
-            if kept == 1:
-                f_hi *= 0.5
-            kept = 1
-        else:
-            hi, f_hi = x, fx
-            if kept == -1:
-                f_lo *= 0.5
-            kept = -1
-
-
 @lru_cache(maxsize=None)
 def _cut_fraction(p: float, eps: float) -> float:
     """Truncation level over the peak of the competitor for eps: 0.95 times
@@ -280,13 +255,14 @@ def _cut_fraction(p: float, eps: float) -> float:
         return _truncated_energy(model, 1.0, cut, False) - target
 
     lo, hi = 1e-9 * peak, (1.0 - 1e-9) * peak
-    gap_lo, gap_hi = gap(lo), gap(hi)
-    if gap_lo > 0:
+    if gap(lo) > 0:
         raise SolitonError("competitor energy target unreachable; eps too small")
-    if gap_hi < 0:
-        cut = hi
-    else:
-        cut = _illinois_root(gap, lo, hi, gap_lo, gap_hi, xtol=1e-12 * peak)
+    # bisection to float resolution, gap(lo) < 0 <= gap(hi), until the
+    # midpoint is an end; none when the target lies past hi
+    cut = 0.5 * (lo + hi) if gap(hi) >= 0 else hi
+    while lo < cut < hi:
+        lo, hi = (cut, hi) if gap(cut) < 0 else (lo, cut)
+        cut = 0.5 * (lo + hi)
     return 0.95 * cut / peak
 
 

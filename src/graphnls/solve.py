@@ -26,6 +26,7 @@ from .graphs import MetricGraph, first_twins, is_count, is_number
 from .mesh import (
     GraphFunction,
     Mesh,
+    MeshError,
     argmax,
     build_mesh,
     interpolate,
@@ -775,8 +776,10 @@ def scan_mass_threshold(
     record the first with an interior minimizer.  Masses whose meshes have
     the same truncation length share one mesh.  A mass whose solve raises
     ``SolveError`` or ``SolitonError`` (a multiplier that overflows or
-    underflows) is ``not-converged``, with the error's message as its entry
-    of ``reasons``; a bad grid raises ``SolveError`` before any solve.
+    underflows), or whose halfline ``truncation_length`` refuses as too
+    long for h, is ``not-converged``, with the error's message as its entry
+    of ``reasons``.  A bad grid raises ``SolveError``, and a spacing that no
+    mass could mend ``MeshError``, before any solve.
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
     and ignored: the masses are solved serially."""
     grid = list(mu_grid)
@@ -784,17 +787,21 @@ def scan_mass_threshold(
     if not (grid and positive and all(a < b for a, b in zip(grid, grid[1:]))):
         raise SolveError(f"mass grid {grid} must be nonempty, strictly increasing, finite and > 0")
     model = make_model(p)
+    truncation_length(cfg.h, cfg.truncation)   # the shortest length: a refusal no mass avoids
     meshes = {}   # by truncation length, the only part of a mesh that depends on mu
 
     def run(mu):
         try:
             L = truncation_length(cfg.h, cfg.truncation, model.lambda_for_mass(mu))
-            if L not in meshes:
-                meshes[L] = _resolve_mesh(g, cfg, model, mu)
+        except (SolitonError, MeshError) as exc:
+            return "not-converged", float("nan"), str(exc)
+        if L not in meshes:
+            meshes[L] = _resolve_mesh(g, cfg, model, mu)
+        try:
             rep = minimize_on_edge(g, edge_id, mu, p, cfg, mesh=meshes[L])
-            return rep.status, rep.energy.total, None
         except (SolveError, SolitonError) as exc:
             return "not-converged", float("nan"), str(exc)
+        return rep.status, rep.energy.total, None
 
     results = [run(mu) for mu in grid]
     statuses = [s for s, _, _ in results]

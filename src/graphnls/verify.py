@@ -6,7 +6,8 @@ solver's convergence norm is the strong-form L2 norm over all rows plus the
 mass defect, ``el_residual`` the strong-form norm over the interior rows
 (stationary equation on open edges), ``kirchhoff_residual`` the largest
 vertex row (flux balance).  Without a multiplier the vertex check falls back
-to one-sided three-point derivative stencils, for hand-built functions.
+to one-sided three-point derivative stencils at each edge's end nodes, read
+from the node table and summed onto the vertices, for hand-built functions.
 
 ``certify`` reads all it checks from a solve report, and its positivity
 rule has no tolerance: zeros may only trail to a halfline's truncated end.
@@ -77,20 +78,16 @@ def kirchhoff_residual(
         return residual_norms(u, lam, p)[1]
 
     mesh = u.mesh
-    sums = {vtx: 0.0 for vtx in mesh.graph.vertices}
-    for em in mesh.edge_meshes:
-        vals = np.real(u.edge_values(em.edge_id)).astype(float)
-        if vals.size < 3:
-            continue
-        h = em.spacing
-        e = mesh.graph.edge(em.edge_id)
-        # outgoing derivative at src: one-sided second-order stencil
-        d_src = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-        sums[e.src] += d_src
-        if e.dst is not None:
-            d_dst = (-3.0 * vals[-1] + 4.0 * vals[-2] - vals[-3]) / (2.0 * h)
-            sums[e.dst] += d_dst
-    return max(abs(s) for s in sums.values()) if sums else 0.0
+    v = mesh.node_values(np.real(u.values).astype(float))
+    last = np.flatnonzero(np.append(mesh.node_edge[1:] != mesh.node_edge[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    h = mesh.el_h[first - np.arange(first.size)]   # edge i's elements start i places earlier
+    # the outgoing one-sided second-order derivative at each edge end (an
+    # edge has two elements or more); node_sum drops a truncated end's
+    w = np.zeros(v.size)
+    for end, step in ((first, 1), (last, -1)):
+        w[end] = (-3.0 * v[end] + 4.0 * v[end + step] - v[end + 2 * step]) / (2.0 * h)
+    return float(np.max(np.abs(mesh.node_sum(w)[mesh.vertex_dofs]), initial=0.0))
 
 
 def localization_margin(u: GraphFunction, edge_id: str) -> float:

@@ -112,6 +112,13 @@ def test_huge_mass_is_a_numerical_failure_with_one_line(argv, capsys):
     assert err.startswith(f"numerical failure: mass {mass:g}") and err.count("\n") == 1
 
 
+def test_a_halfline_too_long_for_h_is_an_error_with_one_line(capsys):
+    # the "auto" truncation of mass 1e-100 at p = 4 is 3.2e101
+    assert run(["solve", "--graph", "double-bridge", "--edge", "e", "--mass", "1e-100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a halfline truncated at") and err.count("\n") == 1
+
+
 def test_ground_halfline(tmp_path):
     out = tmp_path / "g.json"
     rc = run(

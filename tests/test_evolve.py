@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from graphnls import functional as fn
 from graphnls.evolve import (
     EvolveError,
+    check_time_grid,
     evolve,
     h1_norm,
     orbital_distance,
@@ -177,9 +178,12 @@ def test_evolve_rejects_bad_steps(bound_state):
         evolve(u0, 4.0, t_final=-1.0, dt=0.1)
     for t_final, dt in (
         (1.0, math.nan), (math.nan, 0.1), (math.inf, 0.1), (1.0, math.inf), (1.0, True),
+        (10**400, 1.0),
     ):
         with pytest.raises(EvolveError):
             evolve(u0, 4.0, t_final=t_final, dt=dt)
+        with pytest.raises(EvolveError):
+            check_time_grid(t_final, dt)
     # too many steps is refused before the histories are allocated
     for t_final, dt in ((1e300, 1e-3), (1.0, 1e-300), (1.0 + 1e7, 1.0)):
         with pytest.raises(EvolveError, match="steps"):

@@ -23,9 +23,10 @@ from graphnls.mesh import (
     build_mesh,
     interpolate,
     place_profile,
+    truncation_length,
     zero_function,
 )
-from graphnls.soliton import _profile_callables
+from graphnls.soliton import _profile_callables, make_model
 from graphnls.solve import _translation_pin_vector, migrated_mass
 from graphnls.verify import certify, localization_margin
 
@@ -427,6 +428,28 @@ def test_auto_truncation_grows_with_flat_states():
 def test_truncation_rejects_a_multiplier_estimate_that_is_not_positive_and_finite(lam):
     with pytest.raises(MeshError, match="multiplier estimate"):
         build_mesh(halfline_graph(), 0.01, lambda_est=lam)
+
+
+@pytest.mark.parametrize("mu", [1e-4, 1e-100])
+def test_truncation_refuses_a_halfline_past_the_element_limit(monkeypatch, mu):
+    # at p = 4 the "auto" length 8 / sqrt(lambda) of mass 1e-4 is 3.2e5, so
+    # 3.2e7 elements of h = 0.01; refused before any node array exists
+    lam = make_model(4.0).lambda_for_mass(mu)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated before the size check")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    with pytest.raises(MeshError, match="over the limit of 1000000"):
+        truncation_length(0.01, "auto", lam)
+    with pytest.raises(MeshError, match="over the limit of 1000000"):
+        build_mesh(halfline_graph(), 0.01, lambda_est=lam)
+
+
+def test_truncation_admits_a_fixed_length_up_to_the_element_limit():
+    assert truncation_length(0.01, 9999.0) == 9999.0
+    with pytest.raises(MeshError, match="over the limit"):
+        truncation_length(0.01, 10001.0)
 
 
 def test_swap_twins_moves_a_function_onto_its_reversed_twin():

@@ -1,8 +1,9 @@
 """Package hygiene: no module imports a name it never uses, every import
 sits at module level, importing the package loads only the sparse parts of
 scipy, one function forms the Euler-Lagrange residual, sparse matrices
-are assembled and the node table read only in ``mesh``, and numeric types
-are tested only in ``graphs``."""
+are assembled and the node table read only in ``mesh``, only serialization
+reads ``Mesh.edge_meshes`` outside ``mesh``, and numeric types are tested
+only in ``graphs``."""
 
 import ast
 import importlib
@@ -67,17 +68,17 @@ def test_imports_at_module_level(path):
     assert function_imports(path.read_text()) == []
 
 
-def grad_energy_users(source: str) -> list[str]:
-    """Functions in ``source`` that read the name ``grad_energy`` (a call,
-    or a reference by name or attribute), each under its innermost
-    enclosing function; ``<module>`` for a read outside any function."""
+def name_readers(source: str, name: str) -> list[str]:
+    """Functions in ``source`` that read ``name`` (a call, or a reference by
+    name or attribute), each under its innermost enclosing function;
+    ``<module>`` for a read outside any function."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
         elif isinstance(node, (ast.Name, ast.Attribute)):
-            if getattr(node, "id", getattr(node, "attr", None)) == "grad_energy":
+            if getattr(node, "id", getattr(node, "attr", None)) == name:
                 found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -93,14 +94,38 @@ def test_checker_flags_grad_energy_users():
         "def f(u):\n    def g():\n        return fn.grad_energy(u, 4.0)\n    return g\n\n"
         "def h(u):\n    return grad_energy(u, 4.0)\n\nalias = fn.grad_energy\n"
     )
-    assert grad_energy_users(src) == ["<module>", "g", "h"]
+    assert name_readers(src, "grad_energy") == ["<module>", "g", "h"]
 
 
 def test_only_residual_rows_forms_the_residual():
     # the solver's convergence norm, el_residual and kirchhoff_residual all
     # read the one row vector verify.residual_rows forms
-    users = [f"{p.stem}.{name}" for p in ALL_MODULES for name in grad_energy_users(p.read_text())]
+    users = [
+        f"{p.stem}.{name}" for p in ALL_MODULES for name in name_readers(p.read_text(), "grad_energy")
+    ]
     assert users == ["verify.residual_rows"]
+
+
+def test_checker_flags_edge_mesh_reads():
+    src = (
+        "def rows(u):\n    for em in u.mesh.edge_meshes:\n        yield em.edge_id\n\n"
+        "def first(mesh):\n    return mesh.edge_meshes[0].edge_id\n\n"
+        "def ends(mesh):\n    return mesh.node_edge, mesh.edge_mesh('e')\n"
+    )
+    assert name_readers(src, "edge_meshes") == ["first", "rows"]
+
+
+def test_only_serialization_reads_edge_meshes_outside_mesh():
+    # every other per-edge read goes through the node and element tables
+    # (Mesh.node_values, node_sum, node_edge, el_h), so a change to what an
+    # edge holds stays inside mesh.py
+    users = [
+        f"{p.stem}.{name}"
+        for p in ALL_MODULES
+        if p.name != "mesh.py"
+        for name in name_readers(p.read_text(), "edge_meshes")
+    ]
+    assert users == ["cli._state_rows"]
 
 
 # the ways to build a sparse matrix other than filling the mesh's stencil

@@ -126,12 +126,13 @@ def test_closed_forms_match_quadrature(p):
 
 
 @pytest.mark.parametrize(
-    "bad", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "3", 1e-200, 1e300]
+    "bad", [0.0, -1.0, math.nan, math.inf, -math.inf, True, "3", 1e-200, 1e300, 10**400]
 )
 def test_mass_lambda_maps_reject_bad_arguments(bad):
     # an argument, or a result, that is not positive and finite: the
     # multiplier (mu / 4)^2 at p = 4 and the mass k lam^3.5 at p = 2.5
-    # underflow to 0 at 1e-200 and overflow at 1e300
+    # underflow to 0 at 1e-200 and overflow at 1e300; the integer 10**400
+    # is past what a float holds
     with pytest.raises(SolitonError, match="positive and finite"):
         make_model(4.0).lambda_for_mass(bad)
     with pytest.raises(SolitonError, match="positive and finite"):

@@ -17,7 +17,14 @@ from graphnls.graphs import (
     line_graph,
     star_graph,
 )
-from graphnls.mesh import GraphFunction, argmax, build_mesh, place_profile, zero_function
+from graphnls.mesh import (
+    GraphFunction,
+    MeshError,
+    argmax,
+    build_mesh,
+    place_profile,
+    zero_function,
+)
 from graphnls.solve import (
     SolveConfig,
     SolveError,
@@ -63,6 +70,7 @@ def test_config_rejects_bad_grad_tol(bad):
         {"h": math.inf},
         {"h": "0.01"},
         {"h": True},
+        {"h": 10**400},
         {"truncation": "x"},
         {"truncation": math.nan},
         {"truncation": 0.0},
@@ -807,6 +815,24 @@ def test_scan_reports_a_mass_whose_multiplier_overflows():
     assert report.reasons[0].startswith("mass 1e-200 is too small")
     assert report.reasons[1] is None
     assert report.reasons[2].startswith("mass 1e+300 is too large")
+
+
+def test_scan_reports_a_mass_whose_halfline_is_too_long():
+    # at p = 4 and h = 0.02 the "auto" truncation 8 / sqrt(lambda) of mass
+    # 1e-4 takes 1.6e7 elements, that of mass 1e-100 1.6e103
+    grid = [1e-100, 1e-4, 1.0]
+    report = scan_mass_threshold(double_bridge_graph(1.0), "e", 4.0, grid, SolveConfig(h=0.02))
+    assert report.statuses[:2] == ["not-converged", "not-converged"]
+    assert all("over the limit" in reason for reason in report.reasons[:2])
+    assert report.reasons[2] is None
+
+
+def test_scan_raises_for_a_spacing_no_mass_mends():
+    g = double_bridge_graph(1.0)
+    with pytest.raises(MeshError, match="over the limit"):
+        scan_mass_threshold(g, "e", 4.0, [1e-4, 1.0], SolveConfig(h=0.02, truncation=1e5))
+    with pytest.raises(MeshError, match="too coarse"):
+        scan_mass_threshold(g, "e", 4.0, [1e-4, 1.0], SolveConfig(h=0.6))
 
 
 def test_scan_rejects_bad_grid():

@@ -128,6 +128,38 @@ def test_kirchhoff_stencil_smooth_tent_balances():
     assert kirchhoff_residual(u) < 1e-4  # stencil truncation error only
 
 
+def _kirchhoff_per_edge(u):
+    """Reference: the outgoing one-sided three-point derivative at each end
+    of each edge, summed per vertex in a loop over the edges."""
+    mesh = u.mesh
+    sums = {vtx: 0.0 for vtx in mesh.graph.vertices}
+    for em in mesh.edge_meshes:
+        vals = np.real(u.edge_values(em.edge_id)).astype(float)
+        h = em.spacing
+        e = mesh.graph.edge(em.edge_id)
+        sums[e.src] += (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
+        if e.dst is not None:
+            sums[e.dst] += (-3.0 * vals[-1] + 4.0 * vals[-2] - vals[-3]) / (2.0 * h)
+    return max(abs(s) for s in sums.values())
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [example_graph(n) for n in (1, 2, 3, 4)] + [star_graph(3), halfline_graph()],
+    ids=["example1", "example2", "example3", "example4", "star", "halfline"],
+)
+def test_kirchhoff_stencil_matches_per_edge_loop(graph):
+    # self-loops (example 1), a triple edge and terminal edges among them;
+    # the stencils read the node table, the fixed zero at a truncated end
+    # too; h divides neither the truncation nor a unit edge, so the
+    # halflines and the bounded edges get different spacings
+    mesh = build_mesh(graph, h=0.03, trunc=2.2)
+    rng = np.random.default_rng(7)
+    for _ in range(10):
+        u = GraphFunction(mesh, rng.standard_normal(mesh.ndof))
+        assert kirchhoff_residual(u) == pytest.approx(_kirchhoff_per_edge(u), rel=1e-12, abs=0.0)
+
+
 def test_localization_margin_sign():
     mesh = build_mesh(double_bridge_graph(1.0), h=0.02, trunc=3.0)
     f, _, _, _ = soliton_profile(make_model(4.0), 8.0)
