@@ -89,9 +89,9 @@ def _graph(args) -> MetricGraph:
 def _state_rows(u):
     """The (edge, x, u) series of a state under its header, one row per mesh node."""
     yield ["edge", "x", "u"]
-    for em in u.mesh.edge_meshes:
-        for x, v in zip(em.coords, u.edge_values(em.edge_id)):
-            yield [em.edge_id, repr(float(x)), repr(float(abs(v)))]
+    mesh = u.mesh
+    for i, x, v in zip(mesh.node_edge, mesh.node_x, mesh.node_values(u.values)):
+        yield [mesh.graph.edges[i].id, repr(float(x)), repr(float(abs(v)))]
 
 
 def _number(what: str, lo: float = 0.0, hi: float = math.inf):
@@ -153,6 +153,8 @@ def _cmd_scan(args):
         grid = [_number("mass")(tok) for tok in args.masses.split(",") if tok.strip()]
     except argparse.ArgumentTypeError as exc:
         raise _UsageError(f"bad --masses list: {exc}")
+    if not grid or any(a >= b for a, b in zip(grid, grid[1:])):
+        raise _UsageError(f"bad --masses list {args.masses!r}: give strictly increasing masses")
     report = scan_mass_threshold(g, args.edge, args.p, grid, _config(args))
     table = zip(report.mu_grid, report.statuses, report.energies)
     rows = [["mass", "status", "energy"]] + [[repr(mu), s, repr(e)] for mu, s, e in table]

@@ -9,9 +9,12 @@ strongly: they are the natural conditions of the assembled quadratic form.
 The vertex dofs come first, then each edge's interior dofs in order along
 the edge, so every stencil matrix is a tridiagonal chain over the interior
 dofs bordered by the vertex dofs, the split that ``Mesh.factor`` uses.
-Per-edge reads go through the element and node tables (``argmax`` is one
-``np.argmax`` over the node table); a halfline of more than
-``MAX_HALFLINE_ELEMENTS`` elements is refused before it is built.
+``build_mesh`` makes the node table (``node_dof``, ``node_edge``,
+``node_x``: every edge's nodes in edge order, then coordinate order) and
+``Mesh`` derives the element table from it; every per-edge read is the
+edge's run of the node table, ``Mesh.edge_nodes`` (``argmax`` is one
+``np.argmax`` over it).  An edge of more than ``MAX_EDGE_ELEMENTS``
+elements is refused before it is built.
 """
 
 from __future__ import annotations
@@ -27,22 +30,14 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .graphs import MetricGraph, is_number
 
 DEFAULT_TRUNCATION = 20.0
-# the most elements a halfline may take: a longer truncation (the "auto"
-# one of a tiny mass) is refused before anything is allocated
-MAX_HALFLINE_ELEMENTS = 10**6
+# the most elements an edge may take: a longer edge, or a longer halfline
+# truncation (the "auto" one of a tiny mass), is refused before anything is
+# allocated
+MAX_EDGE_ELEMENTS = 10**6
 
 
 class MeshError(ValueError):
     """Raised for invalid meshing parameters or mesh/function mismatches."""
-
-
-@dataclass(frozen=True)
-class EdgeMesh:
-    edge_id: str
-    coords: np.ndarray      # nodal coordinates along the edge, starting at src
-    dofs: np.ndarray        # global dof per node; == ndof marks a fixed zero
-    spacing: float
-    is_halfline: bool
 
 
 @dataclass(eq=False)
@@ -52,23 +47,24 @@ class Mesh:
 
     graph: MetricGraph
     h: float
-    edge_meshes: tuple[EdgeMesh, ...]
     ndof: int
     truncation: float
-
-    # element table: the left and right dof, the length, the edge index and
-    # the midpoint coordinate of every element of every edge, in edge order;
-    # dof ndof is the fixed zero at a truncated halfline end
+    # node table: the dof, edge index and coordinate of every node of every
+    # edge, in edge order, then coordinate order from the edge's src (vertex
+    # dofs appear once per incident edge end); dof ndof is the fixed zero at
+    # a truncated halfline end
+    node_dof: np.ndarray = field(repr=False)
+    node_edge: np.ndarray = field(repr=False)
+    node_x: np.ndarray = field(repr=False)
+    # per edge index: the element length
+    edge_h: np.ndarray = field(repr=False)
+    # element table, one entry per node whose successor lies on its edge:
+    # the left and right dof, the length, the edge index and the midpoint
     el_left: np.ndarray = field(init=False, repr=False)
     el_right: np.ndarray = field(init=False, repr=False)
     el_h: np.ndarray = field(init=False, repr=False)
     el_edge: np.ndarray = field(init=False, repr=False)
     el_mid: np.ndarray = field(init=False, repr=False)
-    # node table: the dof, edge index and coordinate of every node of every
-    # edge, in edge order (vertex dofs appear once per incident edge end)
-    node_dof: np.ndarray = field(init=False, repr=False)
-    node_edge: np.ndarray = field(init=False, repr=False)
-    node_x: np.ndarray = field(init=False, repr=False)
     # per edge index: whether the edge is a (truncated) halfline
     edge_halfline: np.ndarray = field(init=False, repr=False)
     vertex_dofs: np.ndarray = field(init=False, repr=False)      # 0 ... nv - 1
@@ -95,36 +91,35 @@ class Mesh:
     # values to element midpoint values, and the integral of f is
     # ``node_w @ f(v) + mid_w @ f(P @ v)``
     simpson_rule: tuple = field(init=False, repr=False)
-    _edge_index: dict = field(init=False, repr=False)
+    _edge_nodes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        ems = self.edge_meshes
-        self.el_left = np.concatenate([em.dofs[:-1] for em in ems])
-        self.el_right = np.concatenate([em.dofs[1:] for em in ems])
-        self.el_h = np.concatenate([np.full(em.dofs.size - 1, em.spacing) for em in ems])
-        self.el_mid = np.concatenate([0.5 * (em.coords[:-1] + em.coords[1:]) for em in ems])
-        self.node_dof = np.concatenate([em.dofs for em in ems])
-        self.node_x = np.concatenate([em.coords for em in ems])
-        sizes = np.array([em.dofs.size for em in ems])
-        self.node_edge = np.repeat(np.arange(len(ems)), sizes)
-        self.el_edge = np.repeat(np.arange(len(ems)), sizes - 1)
-        self.edge_halfline = np.array([em.is_halfline for em in ems])
-        self._edge_index = {em.edge_id: i for i, em in enumerate(ems)}
+        el = np.flatnonzero(self.node_edge[1:] == self.node_edge[:-1])
+        self.el_left = self.node_dof[el]
+        self.el_right = self.node_dof[el + 1]
+        self.el_edge = self.node_edge[el]
+        self.el_mid = 0.5 * (self.node_x[el] + self.node_x[el + 1])
+        self.el_h = self.edge_h[self.el_edge]
+        edges = self.graph.edges
+        self.edge_halfline = np.array([e.is_halfline for e in edges])
+        bounds = np.searchsorted(self.node_edge, np.arange(len(edges) + 1)).tolist()
+        self._edge_nodes = {e.id: slice(a, b) for e, a, b in zip(edges, bounds, bounds[1:])}
         self.vertex_dofs = np.arange(len(self.graph.vertices))
         self.interior_mask = np.ones(self.ndof, dtype=bool)
         self.interior_mask[self.vertex_dofs] = False
         self._assemble()
 
-    def edge_index(self, edge_id: str) -> int:
-        """Position of the edge in ``edge_meshes``, as in ``node_edge`` and
-        ``el_edge``."""
+    def edge_nodes(self, edge_id: str) -> slice:
+        """The edge's run of the node table, from its src end."""
         try:
-            return self._edge_index[edge_id]
+            return self._edge_nodes[edge_id]
         except KeyError:
             raise MeshError(f"unknown edge {edge_id!r}") from None
 
-    def edge_mesh(self, edge_id: str) -> EdgeMesh:
-        return self.edge_meshes[self.edge_index(edge_id)]
+    def edge_index(self, edge_id: str) -> int:
+        """Position of the edge in ``graph.edges``, as in ``node_edge`` and
+        ``el_edge``."""
+        return int(self.node_edge[self.edge_nodes(edge_id).start])
 
     def element_values(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodal values ``(a, b)`` at the left and right end of every element."""
@@ -153,7 +148,7 @@ class Mesh:
         (``graphs.first_twins``) exchanged, each run reversed when the two
         edges run opposite ways: ``v`` moved by the isometry that swaps
         them."""
-        da, db = self.edge_mesh(a).dofs[1:-1], self.edge_mesh(b).dofs[1:-1]
+        da, db = (self.node_dof[self.edge_nodes(e)][1:-1] for e in (a, b))
         if da.size != db.size:
             raise MeshError(f"edges {a!r} and {b!r} are not twins")
         if self.graph.edge(a).src != self.graph.edge(b).src:
@@ -286,7 +281,7 @@ def truncation_length(
     or for "auto" max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x)
     tails are negligible at the far end; ``lambda_est`` None stands for
     0.16.  Refused when a halfline would take more than
-    ``MAX_HALFLINE_ELEMENTS`` elements of size ``h``."""
+    ``MAX_EDGE_ELEMENTS`` elements of size ``h``."""
     if not is_number(h, 0.0):
         raise MeshError(f"mesh spacing h={h!r} is not positive and finite")
     if lambda_est is None:
@@ -302,10 +297,10 @@ def truncation_length(
         # up to roundoff, as in build_mesh: rearrangement may take h = L / 10
         if L < 10 * h * (1.0 - 1e-12):
             raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
-    if L / h > MAX_HALFLINE_ELEMENTS:
+    if L / h > MAX_EDGE_ELEMENTS:
         raise MeshError(
             f"a halfline truncated at {L:.4g} with h={h} takes {L / h:.3g} elements, "
-            f"over the limit of {MAX_HALFLINE_ELEMENTS}; give a shorter fixed "
+            f"over the limit of {MAX_EDGE_ELEMENTS}; give a shorter fixed "
             "truncation or a larger h"
         )
     return L
@@ -326,33 +321,37 @@ def build_mesh(
             f"mesh too coarse: h={h} but the shortest bounded edge has length {ell}"
         )
 
+    longest = max(g.bounded_edges, key=lambda e: e.length, default=None)
+    if longest is not None and longest.length / h > MAX_EDGE_ELEMENTS:
+        raise MeshError(
+            f"edge {longest.id!r} of length {longest.length:.4g} with h={h} takes "
+            f"{longest.length / h:.3g} elements, over the limit of {MAX_EDGE_ELEMENTS}; "
+            "give a larger h"
+        )
+
     vertex_dof = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)
-    edge_meshes = []
+    node_dof, node_x, edge_h = [], [], []
     for e in g.edges:
         length = L if e.is_halfline else e.length
         n_elem = max(2, math.ceil(length / h - 1e-12))
-        he = length / n_elem
-        coords = np.linspace(0.0, length, n_elem + 1)
-        dofs = np.empty(n_elem + 1, dtype=int)
-        dofs[0] = vertex_dof[e.src]
-        dofs[1:-1] = np.arange(next_dof, next_dof + n_elem - 1)
+        edge_h.append(length / n_elem)
+        node_x.append(np.linspace(0.0, length, n_elem + 1))
+        # -1 at a truncated halfline end: the fixed zero, ndof once it is known
+        end = -1 if e.is_halfline else vertex_dof[e.dst]
+        node_dof.append(np.r_[vertex_dof[e.src], np.arange(next_dof, next_dof + n_elem - 1), end])
         next_dof += n_elem - 1
-        if e.is_halfline:
-            dofs[-1] = -1  # fixed later to ndof (homogeneous Dirichlet)
-        else:
-            dofs[-1] = vertex_dof[e.dst]
-        edge_meshes.append(EdgeMesh(e.id, coords, dofs, he, e.is_halfline))
-    ndof = next_dof
-    for em in edge_meshes:
-        d = em.dofs
-        d[d == -1] = ndof
+    dofs = np.concatenate(node_dof)
+    dofs[dofs == -1] = next_dof
     return Mesh(
         graph=g,
         h=h,
-        edge_meshes=tuple(edge_meshes),
-        ndof=ndof,
+        ndof=next_dof,
         truncation=L,
+        node_dof=dofs,
+        node_edge=np.repeat(np.arange(len(node_x)), [x.size for x in node_x]),
+        node_x=np.concatenate(node_x),
+        edge_h=np.array(edge_h),
     )
 
 
@@ -380,22 +379,16 @@ class GraphFunction:
     def edge_values(self, edge_id: str) -> np.ndarray:
         """Nodal values along one edge, including the fixed zero at a
         truncated halfline end."""
-        em = self.mesh.edge_mesh(edge_id)
-        ext = np.append(self.values, 0.0)
-        return ext[em.dofs]
+        return self.mesh.node_values(self.values)[self.mesh.edge_nodes(edge_id)]
 
     def to_dict(self) -> dict:
-        return {
-            "h": self.mesh.h,
-            "truncation": self.mesh.truncation,
-            "edges": {
-                em.edge_id: {
-                    "x": em.coords.tolist(),
-                    "u": _values_to_list(self.edge_values(em.edge_id)),
-                }
-                for em in self.mesh.edge_meshes
-            },
-        }
+        mesh = self.mesh
+        vals = mesh.node_values(self.values)
+        edges = {}
+        for e in mesh.graph.edges:
+            run = mesh.edge_nodes(e.id)
+            edges[e.id] = {"x": mesh.node_x[run].tolist(), "u": _values_to_list(vals[run])}
+        return {"h": mesh.h, "truncation": mesh.truncation, "edges": edges}
 
 
 def _values_to_list(v: np.ndarray):
@@ -419,8 +412,8 @@ def interpolate(mesh: Mesh, profiles: Mapping[str, Callable]) -> GraphFunction:
     u = zero_function(mesh)
     ext = np.zeros(mesh.ndof + 1)
     for edge_id, f in profiles.items():
-        em = mesh.edge_mesh(edge_id)
-        ext[em.dofs] = f(em.coords)
+        run = mesh.edge_nodes(edge_id)
+        ext[mesh.node_dof[run]] = f(mesh.node_x[run])
     u.values[:] = ext[: mesh.ndof]
     return u
 
@@ -436,8 +429,7 @@ def place_profile(
 
     Raises if the stated support does not fit inside the edge.
     """
-    em = mesh.edge_mesh(edge_id)
-    length = em.coords[-1]
+    length = mesh.node_x[mesh.edge_nodes(edge_id)][-1]
     if support_radius is not None:
         if center - support_radius < -1e-12 or center + support_radius > length + 1e-12:
             raise MeshError(
@@ -459,4 +451,4 @@ def argmax(u: GraphFunction) -> tuple[str, float, float]:
     k = int(np.argmax(vals))
     if vals[k] == 0.0:
         raise MeshError("argmax of the zero function is undefined")
-    return mesh.edge_meshes[mesh.node_edge[k]].edge_id, float(mesh.node_x[k]), float(vals[k])
+    return mesh.graph.edges[mesh.node_edge[k]].id, float(mesh.node_x[k]), float(vals[k])

@@ -287,11 +287,10 @@ def compact_competitor(
     """
     if not is_number(eps, 0.0, 1.0):
         raise SolitonError(f"eps must lie in (0, 1), got {eps!r}")
-    em = mesh.edge_mesh(edge_id)
-    if em.is_halfline:
-        raise SolitonError(f"edge {edge_id!r} is a halfline; competitors need a bounded edge")
-    length = em.coords[-1]
     e = mesh.graph.edge(edge_id)
+    if e.is_halfline:
+        raise SolitonError(f"edge {edge_id!r} is a halfline; competitors need a bounded edge")
+    length = e.length
     tip_at_src = mesh.graph.degree(e.src) == 1
     terminal = tip_at_src or mesh.graph.degree(e.dst) == 1
 

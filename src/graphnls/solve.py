@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 
 from . import functional as fn
 from . import verify
-from .graphs import MetricGraph, first_twins, is_count, is_number
+from .graphs import Edge, MetricGraph, first_twins, is_count, is_number
 from .mesh import (
     GraphFunction,
     Mesh,
@@ -276,9 +276,9 @@ def _translation_pin_vector(mesh, edge_id, p, lam, c):
     """Nodal samples of the soliton derivative centered at c on one edge:
     the approximate translation mode, used as a pinning functional."""
     _, df = _profile_callables(p, lam)
-    on = mesh.node_edge == mesh.edge_index(edge_id)
-    w = np.zeros(on.size)
-    w[on] = df(mesh.node_x[on] - c)
+    run = mesh.edge_nodes(edge_id)
+    w = np.zeros(mesh.node_x.size)
+    w[run] = df(mesh.node_x[run] - c)
     return mesh.node_sum(w)
 
 
@@ -300,15 +300,16 @@ def _equilibrate_translation(mesh, x0, lam0, mu, p, edge_id, tol):
     at the unpinned critical point, or None when a pinned solve fails, a
     center leaves [2h, L - 2h], or 40 solves do not converge.
     """
-    em = mesh.edge_mesh(edge_id)
-    length = em.coords[-1]
-    h = em.spacing
+    run = mesh.edge_nodes(edge_id)
+    coords = mesh.node_x[run]
+    length = coords[-1]
+    h = mesh.edge_h[mesh.edge_index(edge_id)]
     lo_c, hi_c = 2.0 * h, length - 2.0 * h
     if hi_c <= lo_c:
         return None
 
-    vals = np.abs(GraphFunction(mesh, x0).edge_values(edge_id))
-    c = float(np.clip(em.coords[int(np.argmax(vals))], lo_c, hi_c))
+    vals = np.abs(mesh.node_values(x0)[run])
+    c = float(np.clip(coords[int(np.argmax(vals))], lo_c, hi_c))
     x, lam = np.array(x0, dtype=float), lam0
     pin_tol = max(tol, 1e-10)
     xtol = 1e-12 * max(1.0, length)
@@ -538,13 +539,11 @@ def _branch_vertex_distance(mesh: Mesh, edge_id: str, coord: float) -> float:
     degree >= 3 (inf when no such vertex is incident)."""
     g = mesh.graph
     e = g.edge(edge_id)
-    em = mesh.edge_mesh(edge_id)
-    length = em.coords[-1]
     dist = math.inf
     if g.degree(e.src) >= 3:
         dist = min(dist, coord)
     if e.dst is not None and g.degree(e.dst) >= 3:
-        dist = min(dist, length - coord)
+        dist = min(dist, e.length - coord)
     return dist
 
 
@@ -608,6 +607,15 @@ def _finish_report(mesh, descent, mu, p, cfg, edge_id):
     )
 
 
+def _bounded_edge(g: MetricGraph, edge_id: str) -> Edge:
+    """The edge ``edge_id`` of g, refused when it is a halfline: a
+    constrained solve needs a bounded edge."""
+    e = g.edge(edge_id)
+    if e.is_halfline:
+        raise SolveError(f"edge {edge_id!r} is a halfline; pick a bounded edge")
+    return e
+
+
 def minimize_on_edge(
     g: MetricGraph,
     edge_id: str,
@@ -624,26 +632,23 @@ def minimize_on_edge(
     wherever the maximum wanders; a final state that peaks off the edge is
     reported ``escaped``.
     """
-    e = g.edge(edge_id)
-    if e.is_halfline:
-        raise SolveError(f"edge {edge_id!r} is a halfline; pick a bounded edge")
+    e = _bounded_edge(g, edge_id)
+    model = make_model(p)
+    if mesh is None:
+        mesh = _resolve_mesh(g, cfg, model, mu)
     for v in (e.src, e.dst):
         if g.degree(v) == 2:
             logger.warning(
                 "edge %r has an endpoint of degree two; normalize the graph "
                 "to merge pass-through vertices", edge_id,
             )
-    model = make_model(p)
-    if mesh is None:
-        mesh = _resolve_mesh(g, cfg, model, mu)
     try:
         u0 = compact_competitor(model, mu, 0.1, mesh, edge_id)
     except SolitonError:
         # the competitor does not fit on the edge, or holds no mesh node
-        length = mesh.edge_mesh(edge_id).coords[-1]
         u0 = place_profile(
-            mesh, edge_id, lambda x: np.clip(1.0 - np.abs(x) / (length / 2.0), 0.0, None),
-            length / 2.0,
+            mesh, edge_id, lambda x: np.clip(1.0 - np.abs(x) / (e.length / 2.0), 0.0, None),
+            e.length / 2.0,
         )
         u0 = project_mass(u0, mu)
     descent = _descend(mesh, u0, mu, p, cfg)
@@ -778,14 +783,16 @@ def scan_mass_threshold(
     ``SolveError`` or ``SolitonError`` (a multiplier that overflows or
     underflows), or whose halfline ``truncation_length`` refuses as too
     long for h, is ``not-converged``, with the error's message as its entry
-    of ``reasons``.  A bad grid raises ``SolveError``, and a spacing that no
-    mass could mend ``MeshError``, before any solve.
+    of ``reasons``.  A bad grid or a halfline ``edge_id`` raises
+    ``SolveError``, and a spacing that no mass could mend ``MeshError``,
+    before any solve.
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
     and ignored: the masses are solved serially."""
     grid = list(mu_grid)
     positive = all(is_number(mu, 0.0) for mu in grid)
     if not (grid and positive and all(a < b for a, b in zip(grid, grid[1:]))):
         raise SolveError(f"mass grid {grid} must be nonempty, strictly increasing, finite and > 0")
+    _bounded_edge(g, edge_id)
     model = make_model(p)
     truncation_length(cfg.h, cfg.truncation)   # the shortest length: a refusal no mass avoids
     meshes = {}   # by truncation length, the only part of a mesh that depends on mu

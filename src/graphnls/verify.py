@@ -81,12 +81,11 @@ def kirchhoff_residual(
     v = mesh.node_values(np.real(u.values).astype(float))
     last = np.flatnonzero(np.append(mesh.node_edge[1:] != mesh.node_edge[:-1], True))
     first = np.append(0, last[:-1] + 1)
-    h = mesh.el_h[first - np.arange(first.size)]   # edge i's elements start i places earlier
     # the outgoing one-sided second-order derivative at each edge end (an
     # edge has two elements or more); node_sum drops a truncated end's
     w = np.zeros(v.size)
     for end, step in ((first, 1), (last, -1)):
-        w[end] = (-3.0 * v[end] + 4.0 * v[end + step] - v[end + 2 * step]) / (2.0 * h)
+        w[end] = (-3.0 * v[end] + 4.0 * v[end + step] - v[end + 2 * step]) / (2.0 * mesh.edge_h)
     return float(np.max(np.abs(mesh.node_sum(w)[mesh.vertex_dofs]), initial=0.0))
 
 
@@ -97,8 +96,8 @@ def localization_margin(u: GraphFunction, edge_id: str) -> float:
     localization constraint is inactive there."""
     mesh = u.mesh
     vals = np.abs(mesh.node_values(u.values))
-    on = mesh.node_edge == mesh.edge_index(edge_id)
-    return float(np.max(vals[on])) - float(np.max(vals[~on], initial=0.0))
+    run = mesh.edge_nodes(edge_id)
+    return float(np.max(vals[run])) - float(np.max(np.delete(vals, run), initial=0.0))
 
 
 # share of |line level| by which the energy sandwich is broadened

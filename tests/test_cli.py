@@ -83,11 +83,18 @@ def test_solve_unknown_edge_is_usage_error():
     assert rc == 1
 
 
-def test_solve_numerical_failure_exit_code():
+def test_solve_numerical_failure_exit_code(capsys):
     # halfline edge requested: solver refuses, exit code 2
     rc = run(["solve", "--graph", "double-bridge", "--edge", "h1", "--mass", "8",
               "--h", "0.05", "--trunc", "5"])
     assert rc == 2
+    # the scan refuses it the same way, before any solve
+    capsys.readouterr()
+    rc = run(["scan", "--graph", "double-bridge", "--edge", "h1", "--masses", "1,2",
+              "--h", "0.02", "--trunc", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: edge 'h1' is a halfline") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -195,6 +202,9 @@ def test_scan_bad_masses_is_usage_error():
         ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "0.5,nan"],
         ["scan", "--graph", "double-bridge", "--edge", "e", "--masses=-1,2"],
         ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "1,inf"],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", ","],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "2,1"],
+        ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "1,1"],
     ],
 )
 def test_bad_mass_or_exponent_is_usage_error(argv, capsys):
@@ -368,6 +378,10 @@ def _malformed_inputs(tmp_path):
         ["example", "1", "--out", missing],
         ["scan", "--graph", "double-bridge", "--edge", "e", "--masses", "50", "--h", "0.05",
          "--trunc", "5", "--out", str(tmp_path / "s.json"), "--csv", missing],
+        # 1e202 elements of h = 0.01 on edge e
+        ["solve", "--graph", '{"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", '
+         '"to": "b", "length": 1e200}, {"id": "h1", "from": "a", "halfline": true}]}',
+         "--edge", "e", "--mass", "8", "--h", "0.01", "--trunc", "5"],
     ]
 
 

@@ -33,7 +33,7 @@ def test_mass_and_kinetic_of_soliton(line_mesh):
     model = make_model(4.0)
     mu = 6.0  # sharp enough that the tails vanish before the edge endpoints
     f, df, lam, _ = soliton_profile(model, mu)
-    L = line_mesh.edge_mesh("e").coords[-1]
+    L = line_mesh.node_x[line_mesh.edge_nodes("e")][-1]
     u = place_profile(line_mesh, "e", f, L / 2.0)
     assert fn.mass(u) == pytest.approx(mu, rel=1e-4)
     # half the quartic soliton's |u'|^2, which is lambda * mu / 3
@@ -129,7 +129,7 @@ def test_rearrangement_preserves_norms_and_drops_kinetic():
         assert fn.lp_power_exact(v, 4.0) == pytest.approx(fn.lp_power_exact(u, 4.0), rel=1e-4)
         assert fn.kinetic(v) <= fn.kinetic(u) + 1e-10
         # monotone decreasing from the halfline origin
-        vals = v.edge_values(v.mesh.edge_meshes[0].edge_id)
+        vals = v.edge_values(v.mesh.graph.edges[0].id)
         assert np.all(np.diff(vals) <= 1e-12)
 
 
@@ -158,7 +158,7 @@ def test_rearrangement_on_the_fewest_nodes(width):
     mesh = build_mesh(halfline_graph(), h=0.01, trunc=5.0)
     u = interpolate(mesh, {"h1": lambda x: np.clip(1.0 - x / width, 0.0, None)})
     v = fn.rearrangement(u, 11)
-    assert v.mesh.edge_meshes[0].coords.size == 11
+    assert v.mesh.node_x.size == 11
     assert fn.mass(v) == pytest.approx(fn.mass(u), rel=1e-12)
 
 
@@ -263,9 +263,11 @@ def per_edge_reference(mesh, v, p):
     f = lambda z: abs(z) ** (p - 2.0) * z
     df = lambda z: (p - 1.0) * abs(z) ** (p - 2.0)
     G = lambda z: np.sign(z) * abs(z) ** (p + 1.0) / (p + 1.0)
-    for em in mesh.edge_meshes:
-        h = em.spacing
-        for i, j in zip(em.dofs[:-1], em.dofs[1:]):
+    for e in mesh.graph.edges:
+        run = mesh.edge_nodes(e.id)
+        x, dofs = mesh.node_x[run], mesh.node_dof[run]
+        h = x[-1] / (x.size - 1)
+        for i, j in zip(dofs[:-1], dofs[1:]):
             a, b = ext[i], ext[j]
             m = 0.5 * (a + b)
             for (r, c, mv, kv, wv) in (
@@ -303,7 +305,8 @@ def table_mesh(request):
 
 
 def test_element_table_covers_every_element(table_mesh):
-    n_elem = sum(em.dofs.size - 1 for em in table_mesh.edge_meshes)
+    n_elem = sum(table_mesh.node_x[table_mesh.edge_nodes(e.id)].size - 1
+                 for e in table_mesh.graph.edges)
     assert table_mesh.el_left.shape == table_mesh.el_right.shape == table_mesh.el_h.shape
     assert table_mesh.el_h.size == n_elem
     # the fixed zero appears only on halfline elements

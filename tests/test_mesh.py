@@ -34,24 +34,23 @@ from graphnls.verify import certify, localization_margin
 def test_build_mesh_shapes():
     g = double_bridge_graph(0.3)
     mesh = build_mesh(g, h=0.05, trunc=5.0)
-    assert len(mesh.edge_meshes) == 5
-    em = mesh.edge_mesh("e")
-    assert not em.is_halfline
-    assert em.coords[0] == 0.0
-    assert em.coords[-1] == pytest.approx(0.3)
-    for hm in mesh.edge_meshes:
-        if hm.is_halfline:
-            assert hm.coords[-1] == pytest.approx(5.0)
+    assert mesh.edge_halfline.size == 5
+    x = mesh.node_x[mesh.edge_nodes("e")]
+    assert not mesh.edge_halfline[mesh.edge_index("e")]
+    assert x[0] == 0.0
+    assert x[-1] == pytest.approx(0.3)
+    for e in g.halflines:
+        assert mesh.node_x[mesh.edge_nodes(e.id)][-1] == pytest.approx(5.0)
 
 
 def test_shared_vertex_dofs():
     g = star_graph(3)
     mesh = build_mesh(g, h=0.1, trunc=2.0)
-    first = [mesh.edge_mesh(f"h{i}").dofs[0] for i in (1, 2, 3)]
-    assert len(set(first)) == 1  # all halflines start at the same center dof
+    runs = [mesh.node_dof[mesh.edge_nodes(f"h{i}")] for i in (1, 2, 3)]
+    assert len({d[0] for d in runs}) == 1  # all halflines start at the same center dof
     # truncated halfline ends map to the Dirichlet sentinel outside the system
-    for i in (1, 2, 3):
-        assert mesh.edge_mesh(f"h{i}").dofs[-1] == mesh.ndof
+    for d in runs:
+        assert d[-1] == mesh.ndof
 
 
 def test_mesh_too_coarse():
@@ -77,7 +76,7 @@ def test_mass_matrix_integrates_constants():
     # int 1 dx = total meshed length, up to the clipped Dirichlet end nodes
     g = line_graph(10.0)
     mesh = build_mesh(g, h=0.01, trunc=3.0)
-    u = interpolate(mesh, {em.edge_id: lambda x: np.ones_like(x) for em in mesh.edge_meshes})
+    u = interpolate(mesh, {e.id: lambda x: np.ones_like(x) for e in mesh.graph.edges})
     total = float(u.values @ (mesh.mass_matrix @ u.values))
     assert total == pytest.approx(16.0, rel=2e-3)
     assert total < 16.0
@@ -118,10 +117,10 @@ def test_interpolate_and_edge_values():
     mesh = build_mesh(g, h=0.01, trunc=8.0)
     u = interpolate(mesh, {"h1": lambda x: np.exp(-x)})
     vals = u.edge_values("h1")
-    em = mesh.edge_mesh("h1")
+    x = mesh.node_x[mesh.edge_nodes("h1")]
     assert vals[0] == pytest.approx(1.0)
     assert vals[-1] == 0.0  # Dirichlet sentinel
-    assert np.allclose(vals[:-1], np.exp(-em.coords[:-1]))
+    assert np.allclose(vals[:-1], np.exp(-x[:-1]))
 
 
 def test_place_profile_and_argmax():
@@ -146,11 +145,11 @@ def _argmax_per_edge(u):
     """Reference: scan the edges in input order, keep a strictly larger
     maximum, take the first maximum within an edge."""
     best = None
-    for em in u.mesh.edge_meshes:
-        vals = np.abs(u.edge_values(em.edge_id))
+    for e in u.mesh.graph.edges:
+        vals = np.abs(u.edge_values(e.id))
         k = int(np.argmax(vals))
         if best is None or vals[k] > best[2]:
-            best = (em.edge_id, float(em.coords[k]), float(vals[k]))
+            best = (e.id, float(u.mesh.node_x[u.mesh.edge_nodes(e.id)][k]), float(vals[k]))
     return best
 
 
@@ -160,7 +159,7 @@ def _argmax_gather(u):
     mesh = u.mesh
     vals = np.abs(np.append(u.values, 0.0))[mesh.node_dof]
     k = int(np.argmax(vals))
-    return mesh.edge_meshes[mesh.node_edge[k]].edge_id, float(mesh.node_x[k]), float(vals[k])
+    return mesh.graph.edges[mesh.node_edge[k]].id, float(mesh.node_x[k]), float(vals[k])
 
 
 @pytest.mark.parametrize(
@@ -183,8 +182,8 @@ def test_argmax_matches_per_edge_scan(graph):
     states.append(vertex_only)
     states.append(rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof))
     states.extend(rng.standard_normal(mesh.ndof) for _ in range(20))
-    first_interior = mesh.edge_meshes[0].dofs[1]
-    last_interior = mesh.edge_meshes[-1].dofs[1]
+    first_interior = mesh.node_dof[mesh.edge_nodes(graph.edges[0].id)][1]
+    last_interior = mesh.node_dof[mesh.edge_nodes(graph.edges[-1].id)][1]
     for vd in mesh.vertex_dofs:
         alone = rng.uniform(-1.0, 1.0, mesh.ndof)
         alone[vd] = -3.0  # a vertex dof shared by several edges, alone at the top
@@ -203,16 +202,38 @@ def test_argmax_matches_per_edge_scan(graph):
         argmax(zero_function(mesh))
 
 
-def test_edge_index_follows_edge_meshes():
-    mesh = build_mesh(example_graph(1), h=0.05, trunc=2.0)
-    for i, em in enumerate(mesh.edge_meshes):
-        assert mesh.edge_index(em.edge_id) == i
-        assert mesh.edge_mesh(em.edge_id) is em
-        assert mesh.edge_halfline[i] == em.is_halfline
-        assert np.array_equal(mesh.node_x[mesh.node_edge == i], em.coords)
-        mids = 0.5 * (em.coords[:-1] + em.coords[1:])
-        assert np.array_equal(mesh.el_mid[mesh.el_edge == i], mids)
-    for lookup in (mesh.edge_mesh, mesh.edge_index):
+@pytest.mark.parametrize(
+    "graph",
+    [example_graph(1), example_graph(3), double_bridge_graph(0.3), halfline_graph()],
+    ids=["example1", "example3", "double-bridge", "halfline"],
+)
+def test_node_table_follows_its_definition(graph):
+    # h does not divide the lengths: the element count rounds up
+    h = 0.03
+    mesh = build_mesh(graph, h, trunc=2.2)
+    vertex_dof = {v: i for i, v in enumerate(graph.vertices)}
+    interior = []
+    for i, e in enumerate(graph.edges):
+        run = mesh.edge_nodes(e.id)
+        length = mesh.truncation if e.is_halfline else e.length
+        n = max(2, math.ceil(length / h - 1e-12))
+        x = mesh.node_x[run]
+        assert np.array_equal(x, np.linspace(0.0, length, n + 1))
+        assert np.all(mesh.node_edge[run] == i) and mesh.edge_index(e.id) == i
+        assert mesh.edge_halfline[i] == e.is_halfline
+        dofs = mesh.node_dof[run]
+        assert dofs[0] == vertex_dof[e.src]
+        assert dofs[-1] == (mesh.ndof if e.is_halfline else vertex_dof[e.dst])
+        assert np.array_equal(np.diff(dofs[1:-1]), np.ones(n - 2, dtype=int))
+        interior.append(dofs[1:-1])
+        on = mesh.el_edge == i
+        assert np.all(mesh.el_h[on] == length / n) and on.sum() == n
+        assert np.array_equal(mesh.el_mid[on], 0.5 * (x[:-1] + x[1:]))
+    # the runs cover the node table in edge order, and the interior dofs
+    # follow the vertex dofs in that order
+    assert sum(mesh.node_x[mesh.edge_nodes(e.id)].size for e in graph.edges) == mesh.node_x.size
+    assert np.array_equal(np.concatenate(interior), np.arange(len(graph.vertices), mesh.ndof))
+    for lookup in (mesh.edge_nodes, mesh.edge_index):
         with pytest.raises(MeshError, match="unknown edge"):
             lookup("nope")
 
@@ -223,31 +244,29 @@ def test_edge_index_follows_edge_meshes():
 
 def _migrated_mass_per_edge(u):
     total = 0.0
-    for em in u.mesh.edge_meshes:
-        if not em.is_halfline:
-            continue
-        vals = u.edge_values(em.edge_id)
+    for e in u.mesh.graph.halflines:
+        x = u.mesh.node_x[u.mesh.edge_nodes(e.id)]
+        vals = u.edge_values(e.id)
         a, b = vals[:-1], vals[1:]
-        sel = 0.5 * (em.coords[:-1] + em.coords[1:]) > em.coords[-1] / 2.0
-        total += em.spacing / 3.0 * float(np.sum(a[sel] ** 2 + a[sel] * b[sel] + b[sel] ** 2))
+        sel = 0.5 * (x[:-1] + x[1:]) > x[-1] / 2.0
+        h = x[-1] / (x.size - 1)
+        total += h / 3.0 * float(np.sum(a[sel] ** 2 + a[sel] * b[sel] + b[sel] ** 2))
     return total
 
 
 def _margin_per_edge(u, edge_id):
     on = float(np.max(np.abs(u.edge_values(edge_id))))
     off = 0.0
-    for em in u.mesh.edge_meshes:
-        if em.edge_id != edge_id:
-            off = max(off, float(np.max(np.abs(u.edge_values(em.edge_id)))))
+    for e in u.mesh.graph.edges:
+        if e.id != edge_id:
+            off = max(off, float(np.max(np.abs(u.edge_values(e.id)))))
     return on - off
 
 
 def _positive_per_edge(u):
-    mesh = u.mesh
-    ext = np.append(u.values, 0.0)
-    for em in mesh.edge_meshes:
-        v = ext[em.dofs]
-        if em.is_halfline:   # zeros trailing to the truncated end are allowed
+    for e in u.mesh.graph.edges:
+        v = u.edge_values(e.id)
+        if e.is_halfline:   # zeros trailing to the truncated end are allowed
             v = np.trim_zeros(v, "b")
         if not np.all(v > 0.0):
             return False
@@ -256,9 +275,9 @@ def _positive_per_edge(u):
 
 def _pin_vector_per_edge(mesh, edge_id, p, lam, c):
     _, df = _profile_callables(p, lam)
-    em = mesh.edge_mesh(edge_id)
+    run = mesh.edge_nodes(edge_id)
     buf = np.zeros(mesh.ndof + 1)
-    np.add.at(buf, em.dofs, df(em.coords - c))
+    np.add.at(buf, mesh.node_dof[run], df(mesh.node_x[run] - c))
     return buf[:-1]
 
 
@@ -271,14 +290,14 @@ def test_table_reads_match_per_edge_loops(graph):
     # has four truncated halflines
     mesh = build_mesh(graph, h=0.05, trunc=1.0)
     halfline_dofs = np.concatenate(
-        [em.dofs[1:-1] for em in mesh.edge_meshes if em.is_halfline]
+        [mesh.node_dof[mesh.edge_nodes(e.id)][1:-1] for e in graph.halflines]
     )
     rng = np.random.default_rng(5)
     for _ in range(4):
         u = GraphFunction(mesh, rng.uniform(0.0, 1.0, mesh.ndof))
         assert migrated_mass(u) == pytest.approx(_migrated_mass_per_edge(u), rel=1e-12)
-        for em in mesh.edge_meshes:
-            assert localization_margin(u, em.edge_id) == _margin_per_edge(u, em.edge_id)
+        for e in graph.edges:
+            assert localization_margin(u, e.id) == _margin_per_edge(u, e.id)
     outcomes = set()
     for lam in (0.25, 16.0):   # two multipliers for the pin vector
         base = rng.uniform(0.1, 1.0, mesh.ndof)
@@ -293,11 +312,11 @@ def test_table_reads_match_per_edge_loops(graph):
             positive = certify(report).positive
             assert positive == _positive_per_edge(u)
             outcomes.add(positive)
-        for em in mesh.edge_meshes:
-            c = rng.uniform(0.0, em.coords[-1])
+        for e in graph.edges:
+            c = rng.uniform(0.0, mesh.node_x[mesh.edge_nodes(e.id)][-1])
             assert np.array_equal(
-                _translation_pin_vector(mesh, em.edge_id, 4.0, lam, c),
-                _pin_vector_per_edge(mesh, em.edge_id, 4.0, lam, c),
+                _translation_pin_vector(mesh, e.id, 4.0, lam, c),
+                _pin_vector_per_edge(mesh, e.id, 4.0, lam, c),
             )
     assert outcomes == {True, False}
 
@@ -390,7 +409,7 @@ def _factor_case(graph, elements, kind, k):
 @pytest.mark.parametrize("graph", _FACTOR_GRAPHS.values(), ids=_FACTOR_GRAPHS.keys())
 def test_factor_matches_superlu(graph, elements, kind, k):
     mesh, data, B = _factor_case(graph, elements, kind, k)
-    sizes = {em.dofs.size - 1 for em in mesh.edge_meshes if not em.is_halfline}
+    sizes = {mesh.node_x[mesh.edge_nodes(e.id)].size - 1 for e in graph.bounded_edges}
     assert not sizes or min(sizes) == elements
     rng = np.random.default_rng(100 + k)
     f = rng.standard_normal(mesh.ndof) + (1j * rng.standard_normal(mesh.ndof) if kind == "complex" else 0)
@@ -419,8 +438,8 @@ def test_auto_truncation_grows_with_flat_states():
     g = star_graph(3)
     m1 = build_mesh(g, h=0.05, trunc="auto", lambda_est=1.0)
     m2 = build_mesh(g, h=0.05, trunc="auto", lambda_est=0.01)
-    L1 = m1.edge_mesh("h1").coords[-1]
-    L2 = m2.edge_mesh("h1").coords[-1]
+    L1 = m1.node_x[m1.edge_nodes("h1")][-1]
+    L2 = m2.node_x[m2.edge_nodes("h1")][-1]
     assert L2 > L1  # flatter decay needs a longer computational box
 
 
@@ -430,20 +449,29 @@ def test_truncation_rejects_a_multiplier_estimate_that_is_not_positive_and_finit
         build_mesh(halfline_graph(), 0.01, lambda_est=lam)
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was allocated before the size check")
+
+
 @pytest.mark.parametrize("mu", [1e-4, 1e-100])
 def test_truncation_refuses_a_halfline_past_the_element_limit(monkeypatch, mu):
     # at p = 4 the "auto" length 8 / sqrt(lambda) of mass 1e-4 is 3.2e5, so
     # 3.2e7 elements of h = 0.01; refused before any node array exists
     lam = make_model(4.0).lambda_for_mass(mu)
-
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was allocated before the size check")
-
-    monkeypatch.setattr(np, "linspace", no_grid)
+    monkeypatch.setattr(np, "linspace", _no_grid)
     with pytest.raises(MeshError, match="over the limit of 1000000"):
         truncation_length(0.01, "auto", lam)
     with pytest.raises(MeshError, match="over the limit of 1000000"):
         build_mesh(halfline_graph(), 0.01, lambda_est=lam)
+
+
+@pytest.mark.parametrize("length", [1e9, 1e200])
+def test_build_mesh_refuses_a_bounded_edge_past_the_element_limit(monkeypatch, length):
+    # 1e11 and 1e202 elements of h = 0.01; refused before any node array exists
+    g = MetricGraph(("a", "b"), (Edge("e", "a", "b", length), Edge("h1", "a")))
+    monkeypatch.setattr(np, "linspace", _no_grid)
+    with pytest.raises(MeshError, match="edge 'e' of length .* over the limit of 1000000"):
+        build_mesh(g, 0.01, trunc=5.0)
 
 
 def test_truncation_admits_a_fixed_length_up_to_the_element_limit():

@@ -1,9 +1,9 @@
 """Package hygiene: no module imports a name it never uses, every import
 sits at module level, importing the package loads only the sparse parts of
 scipy, one function forms the Euler-Lagrange residual, sparse matrices
-are assembled and the node table read only in ``mesh``, only serialization
-reads ``Mesh.edge_meshes`` outside ``mesh``, and numeric types are tested
-only in ``graphs``."""
+are assembled and the node table read only in ``mesh``, no module reads a
+per-edge mesh record (``edge_meshes``, ``edge_mesh``), and numeric types
+are tested only in ``graphs``."""
 
 import ast
 import importlib
@@ -113,19 +113,20 @@ def test_checker_flags_edge_mesh_reads():
         "def ends(mesh):\n    return mesh.node_edge, mesh.edge_mesh('e')\n"
     )
     assert name_readers(src, "edge_meshes") == ["first", "rows"]
+    assert name_readers(src, "edge_mesh") == ["ends"]
 
 
-def test_only_serialization_reads_edge_meshes_outside_mesh():
-    # every other per-edge read goes through the node and element tables
-    # (Mesh.node_values, node_sum, node_edge, el_h), so a change to what an
-    # edge holds stays inside mesh.py
+def test_no_module_reads_edge_meshes():
+    # the node table is the one per-edge layout: every per-edge read is a
+    # slice of it (Mesh.edge_nodes) or a gather through it (node_values,
+    # node_sum, node_edge, el_h), mesh.py included
     users = [
         f"{p.stem}.{name}"
         for p in ALL_MODULES
-        if p.name != "mesh.py"
-        for name in name_readers(p.read_text(), "edge_meshes")
+        for rec in ("edge_meshes", "edge_mesh")
+        for name in name_readers(p.read_text(), rec)
     ]
-    assert users == ["cli._state_rows"]
+    assert users == []
 
 
 # the ways to build a sparse matrix other than filling the mesh's stencil

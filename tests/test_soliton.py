@@ -163,9 +163,9 @@ def test_compact_competitor_beats_target():
     eid, _, _ = argmax(u)
     assert eid == "e"
     # supported on the edge only
-    for em in mesh.edge_meshes:
-        if em.edge_id != "e":
-            assert np.max(np.abs(u.edge_values(em.edge_id))) < 1e-12 * np.max(u.values)
+    for e in g.edges:
+        if e.id != "e":
+            assert np.max(np.abs(u.edge_values(e.id))) < 1e-12 * np.max(u.values)
 
 
 def test_compact_competitor_terminal_tip():
@@ -174,7 +174,6 @@ def test_compact_competitor_terminal_tip():
     mesh = build_mesh(g, h=0.01, trunc=5.0)
     model = make_model(4.0)
     u = compact_competitor(model, 10.0, 0.1, mesh, "g")
-    em = mesh.edge_mesh("g")
     vals = u.edge_values("g")
     tip_end = vals[-1] if mesh.graph.degree(mesh.graph.edge("g").dst) == 1 else vals[0]
     assert tip_end == pytest.approx(np.max(vals), rel=1e-12)

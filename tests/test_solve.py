@@ -833,6 +833,10 @@ def test_scan_raises_for_a_spacing_no_mass_mends():
         scan_mass_threshold(g, "e", 4.0, [1e-4, 1.0], SolveConfig(h=0.02, truncation=1e5))
     with pytest.raises(MeshError, match="too coarse"):
         scan_mass_threshold(g, "e", 4.0, [1e-4, 1.0], SolveConfig(h=0.6))
+    # a bounded edge of 1e11 elements of h = 0.01, whatever the mass
+    long_edge = MetricGraph(("a", "b"), (Edge("e", "a", "b", 1e9), Edge("h1", "a")))
+    with pytest.raises(MeshError, match="edge 'e' of length .* over the limit"):
+        scan_mass_threshold(long_edge, "e", 4.0, [1.0, 2.0], SolveConfig(h=0.01, truncation=5.0))
 
 
 def test_scan_rejects_bad_grid():
@@ -841,6 +845,9 @@ def test_scan_rejects_bad_grid():
         scan_mass_threshold(g, "e", 4.0, [1.0, 1.0, 2.0], CFG)
     with pytest.raises(SolveError):
         scan_mass_threshold(g, "e", 4.0, [], CFG)
+    # a failed solve would be recorded as not-converged: the raise is up front
+    with pytest.raises(SolveError, match="'h1' is a halfline"):
+        scan_mass_threshold(g, "h1", 4.0, [1.0, 2.0], CFG)
 
 
 @pytest.mark.parametrize(

@@ -133,10 +133,10 @@ def _kirchhoff_per_edge(u):
     of each edge, summed per vertex in a loop over the edges."""
     mesh = u.mesh
     sums = {vtx: 0.0 for vtx in mesh.graph.vertices}
-    for em in mesh.edge_meshes:
-        vals = np.real(u.edge_values(em.edge_id)).astype(float)
-        h = em.spacing
-        e = mesh.graph.edge(em.edge_id)
+    for e in mesh.graph.edges:
+        vals = np.real(u.edge_values(e.id)).astype(float)
+        x = mesh.node_x[mesh.edge_nodes(e.id)]
+        h = x[-1] / (x.size - 1)
         sums[e.src] += (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
         if e.dst is not None:
             sums[e.dst] += (-3.0 * vals[-1] + 4.0 * vals[-2] - vals[-3]) / (2.0 * h)
@@ -234,21 +234,22 @@ def test_certify_accepts_a_tail_that_decays_below_any_floor(graph, edge, mu, cfg
 def test_positivity_allows_only_zeros_that_trail_to_a_truncated_end(where, positive):
     mesh = build_mesh(double_bridge_graph(1.0), h=0.05, trunc=4.0)
     u = GraphFunction(mesh, np.ones(mesh.ndof))
-    tail = mesh.edge_mesh("h1").dofs[1:-1]   # interior dofs, toward the truncated end
+    dofs = {e.id: mesh.node_dof[mesh.edge_nodes(e.id)] for e in mesh.graph.edges}
+    tail = dofs["h1"][1:-1]   # interior dofs, toward the truncated end
     half = tail.size // 2
     if where == "trailing":
         u.values[tail[half:]] = 0.0
     elif where == "mid-halfline":
         u.values[tail[half]] = 0.0
     elif where == "bounded":
-        u.values[mesh.edge_mesh("e").dofs[2]] = 0.0
+        u.values[dofs["e"][2]] = 0.0
     elif where == "bounded-run":   # zero from mid-e over its end v2 and all of h3, h4
-        e = mesh.edge_mesh("e").dofs
+        e = dofs["e"]
         u.values[e[e.size // 2:]] = 0.0
         for h in ("h3", "h4"):
-            u.values[mesh.edge_mesh(h).dofs[:-1]] = 0.0
+            u.values[dofs[h][:-1]] = 0.0
     elif where == "vertex":
-        u.values[mesh.edge_mesh("h1").dofs[0]] = 0.0
+        u.values[dofs["h1"][0]] = 0.0
     else:   # below zero next to the truncated end
         u.values[tail[-1]] = -1e-300
     report = SimpleNamespace(
