@@ -69,13 +69,18 @@ class EvolveResult:
 
 
 def check_time_grid(t_final: float, dt: float) -> None:
-    """Raise EvolveError unless 0 < dt <= t_final, both finite, and the run
-    takes at most MAX_STEPS steps."""
+    """Raise EvolveError unless 0 < dt <= t_final, both finite, the run
+    takes at most MAX_STEPS steps, and those steps end at t_final: t_final /
+    dt is an integer up to a relative 1e-9."""
     if not (is_number(t_final) and is_number(dt, 0.0) and dt <= t_final):
         raise EvolveError(f"need finite 0 < dt <= t_final, got dt={dt!r}, t_final={t_final!r}")
-    if t_final / dt > MAX_STEPS:
+    n = t_final / dt
+    if n > MAX_STEPS:
+        raise EvolveError(f"t_final / dt = {n:.3g} exceeds the limit of {MAX_STEPS} steps")
+    if abs(n - round(n)) > 1e-9 * n:
         raise EvolveError(
-            f"t_final / dt = {t_final / dt:.3g} exceeds the limit of {MAX_STEPS} steps"
+            f"t_final / dt = {n:.10g} is not a whole number of steps; "
+            f"the run would not end at t_final={t_final!r}"
         )
 
 

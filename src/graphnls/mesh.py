@@ -13,8 +13,8 @@ dofs bordered by the vertex dofs, the split that ``Mesh.factor`` uses.
 ``node_x``: every edge's nodes in edge order, then coordinate order) and
 ``Mesh`` derives the element table from it; every per-edge read is the
 edge's run of the node table, ``Mesh.edge_nodes`` (``argmax`` is one
-``np.argmax`` over it).  An edge of more than ``MAX_EDGE_ELEMENTS``
-elements is refused before it is built.
+``np.argmax`` over it).  A mesh of more than ``MAX_MESH_ELEMENTS``
+elements is refused before it is built (``truncation_length``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ from scipy.linalg.lapack import get_lapack_funcs
 from .graphs import MetricGraph, is_number
 
 DEFAULT_TRUNCATION = 20.0
-# the most elements an edge may take: a longer edge, or a longer halfline
-# truncation (the "auto" one of a tiny mass), is refused before anything is
-# allocated
-MAX_EDGE_ELEMENTS = 10**6
+# the most elements a mesh may take, summed over its edges: a longer edge,
+# a longer halfline truncation (the "auto" one of a tiny mass), or too many
+# of them, is refused before anything is allocated
+MAX_MESH_ELEMENTS = 10**6
 
 
 class MeshError(ValueError):
@@ -275,13 +275,18 @@ class Mesh:
 
 
 def truncation_length(
-    h: float, trunc: Union[float, str] = "auto", lambda_est: Optional[float] = None
+    g: MetricGraph,
+    h: float,
+    trunc: Union[float, str] = "auto",
+    lambda_est: Optional[float] = None,
 ) -> float:
     """The halfline truncation length ``build_mesh`` uses: ``trunc`` itself,
     or for "auto" max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x)
     tails are negligible at the far end; ``lambda_est`` None stands for
-    0.16.  Refused when a halfline would take more than
-    ``MAX_EDGE_ELEMENTS`` elements of size ``h``."""
+    0.16.  Makes every check of ``build_mesh``, before it allocates: h
+    below half the shortest bounded edge, and at most ``MAX_MESH_ELEMENTS``
+    elements in the whole mesh of g (its bounded lengths plus each
+    truncated halfline, over h), a refusal that names the longest edge."""
     if not is_number(h, 0.0):
         raise MeshError(f"mesh spacing h={h!r} is not positive and finite")
     if lambda_est is None:
@@ -297,11 +302,18 @@ def truncation_length(
         # up to roundoff, as in build_mesh: rearrangement may take h = L / 10
         if L < 10 * h * (1.0 - 1e-12):
             raise MeshError(f"truncation length {L} shorter than 10 h = {10 * h}")
-    if L / h > MAX_EDGE_ELEMENTS:
+    ell = g.shortest_bounded_length
+    if ell is not None and h >= ell / 2.0:
+        raise MeshError(f"mesh too coarse: h={h} but the shortest bounded edge has length {ell}")
+    lengths = {e: L if e.is_halfline else e.length for e in g.edges}
+    n_elem = sum(lengths.values()) / h
+    if n_elem > MAX_MESH_ELEMENTS:
+        e = max(lengths, key=lengths.get)
+        what = (f"a halfline truncated at {L:.4g}" if e.is_halfline
+                else f"edge {e.id!r} of length {e.length:.4g}")
         raise MeshError(
-            f"a halfline truncated at {L:.4g} with h={h} takes {L / h:.3g} elements, "
-            f"over the limit of {MAX_EDGE_ELEMENTS}; give a shorter fixed "
-            "truncation or a larger h"
+            f"{what} with h={h} is the longest edge of a mesh of {n_elem:.3g} elements, over "
+            f"the limit of {MAX_MESH_ELEMENTS}; give a larger h or a shorter fixed truncation"
         )
     return L
 
@@ -313,22 +325,8 @@ def build_mesh(
     lambda_est: Optional[float] = None,
 ) -> Mesh:
     """Build a glued P1 mesh with target spacing ``h`` and the halfline
-    truncation length ``truncation_length(h, trunc, lambda_est)``."""
-    L = truncation_length(h, trunc, lambda_est)
-    ell = g.shortest_bounded_length
-    if ell is not None and h >= ell / 2.0:
-        raise MeshError(
-            f"mesh too coarse: h={h} but the shortest bounded edge has length {ell}"
-        )
-
-    longest = max(g.bounded_edges, key=lambda e: e.length, default=None)
-    if longest is not None and longest.length / h > MAX_EDGE_ELEMENTS:
-        raise MeshError(
-            f"edge {longest.id!r} of length {longest.length:.4g} with h={h} takes "
-            f"{longest.length / h:.3g} elements, over the limit of {MAX_EDGE_ELEMENTS}; "
-            "give a larger h"
-        )
-
+    truncation length ``truncation_length(g, h, trunc, lambda_est)``."""
+    L = truncation_length(g, h, trunc, lambda_est)
     vertex_dof = {v: i for i, v in enumerate(g.vertices)}
     next_dof = len(g.vertices)
     node_dof, node_x, edge_h = [], [], []

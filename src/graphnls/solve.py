@@ -655,6 +655,30 @@ def minimize_on_edge(
     return _finish_report(mesh, descent, mu, p, cfg, edge_id)
 
 
+def _edge_reports(
+    g: MetricGraph, mesh: Mesh, mu: float, p: float, cfg: SolveConfig
+) -> list[SolveReport]:
+    """One report per bounded edge, in input order.  Only the first edge of
+    each class of twins (``graphs.first_twins``) is solved: a later twin's
+    report is its mirror image, the minimizer moved by ``Mesh.swap_twins``
+    and every number copied, ``iterations`` included, with the status and
+    margin judged again on the moved state (``argmax`` breaks ties by input
+    order)."""
+    first = first_twins(g)
+    reports = {}
+    for e in g.bounded_edges:
+        if first[e.id] == e.id:
+            reports[e.id] = minimize_on_edge(g, e.id, mu, p, cfg, mesh=mesh)
+            continue
+        rep = reports[first[e.id]]
+        u = GraphFunction(mesh, mesh.swap_twins(rep.minimizer.values, rep.edge, e.id))
+        status, margin, _, _ = _classify(mesh, u, rep.lam, mu, e.id, rep.converged)
+        reports[e.id] = replace(
+            rep, minimizer=u, status=status, localization_margin=margin, edge=e.id
+        )
+    return list(reports.values())
+
+
 def bound_state_catalogue(
     g: MetricGraph,
     mu: float,
@@ -663,31 +687,12 @@ def bound_state_catalogue(
     jobs: int = 1,
 ) -> list[SolveReport]:
     """One report per bounded edge, in input order (k bound states for k
-    bounded edges at large mass).  Only the first edge of each class of
-    twins (``graphs.first_twins``) is solved: a later twin's report is its
-    mirror image, the minimizer moved by ``Mesh.swap_twins`` and every
-    number copied, ``iterations`` included, with the status and margin
-    judged again on the moved state (``argmax`` breaks ties by input
-    order).  ``jobs`` is accepted for callers that still pass it (the
-    benchmark does) and ignored: the edges are solved serially."""
-    edges = [e.id for e in g.bounded_edges]
-    if not edges:
+    bounded edges at large mass), from one solve per class of twin edges
+    (``_edge_reports``).  ``jobs`` is accepted for callers that still pass
+    it (the benchmark does) and ignored: the edges are solved serially."""
+    if not g.bounded_edges:
         raise SolveError("graph has no bounded edge")
-    model = make_model(p)
-    mesh = _resolve_mesh(g, cfg, model, mu)
-    first = first_twins(g)
-    reports = {}
-    for eid in edges:
-        if first[eid] == eid:
-            reports[eid] = minimize_on_edge(g, eid, mu, p, cfg, mesh=mesh)
-            continue
-        rep = reports[first[eid]]
-        u = GraphFunction(mesh, mesh.swap_twins(rep.minimizer.values, rep.edge, eid))
-        status, margin, _, _ = _classify(mesh, u, rep.lam, mu, eid, rep.converged)
-        reports[eid] = replace(
-            rep, minimizer=u, status=status, localization_margin=margin, edge=eid
-        )
-    return list(reports.values())
+    return _edge_reports(g, _resolve_mesh(g, cfg, make_model(p), mu), mu, p, cfg)
 
 
 def _halfline_starts(mesh: Mesh, model: SolitonModel, mu: float):
@@ -706,33 +711,21 @@ def ground_state(
     p: float,
     cfg: SolveConfig = SolveConfig(),
 ) -> SolveReport:
-    """Best-of search for a mass-mu ground state, started only where a
-    maximum can sit: one constrained solve per class of twin bounded edges
-    (``graphs.first_twins``), on its first edge, then one unconstrained
-    descent per halfline vertex from a half-soliton start
-    (``_halfline_starts``).  A skipped twin's solve is the mirror image of
-    its first edge's, with the same energy, so it would tie with it and
-    lose the tie.  Candidates within the Newton tolerance
-    grad_tol * max(1, mu) of the lowest energy tie, and the first of them in
-    that order wins, so that mirror images, or one state reached by two
-    routes, do not swap on roundoff or on solver noise.  The returned energy
-    is checked against the universal line / halfline sandwich (broadened by
-    tolerance)."""
+    """Best-of search for a mass-mu ground state: the catalogue's reports,
+    one per bounded edge (``_edge_reports``), then one unconstrained descent
+    per halfline vertex from a half-soliton start (``_halfline_starts``),
+    the lowest converged energy winning.  Candidates within the Newton
+    tolerance grad_tol * max(1, mu) of the lowest energy tie, and the first
+    of them in that order wins, so that mirror images, or one state reached
+    by two routes, do not swap on roundoff or on solver noise: a mirrored
+    twin has its first edge's energy and comes after it.  The returned
+    energy is checked against the universal line / halfline sandwich
+    (broadened by tolerance)."""
     model = make_model(p)
     mesh = _resolve_mesh(g, cfg, model, mu)
     # every descent below would raise this; say why rather than that none converged
     _resolved_multiplier(mesh, mu, p)
-    candidates: list[SolveReport] = []
-
-    first = first_twins(g)
-    for e in g.bounded_edges:
-        if first[e.id] != e.id:
-            continue
-        try:
-            candidates.append(minimize_on_edge(g, e.id, mu, p, cfg, mesh=mesh))
-        except SolveError:
-            continue
-
+    candidates = _edge_reports(g, mesh, mu, p, cfg)
     for u0 in _halfline_starts(mesh, model, mu):
         try:
             descent = _descend(mesh, u0, mu, p, cfg)
@@ -762,7 +755,7 @@ class ThresholdReport:
     statuses: list[str]
     energies: list[float]
     threshold: Optional[float]   # smallest grid mass with an interior minimizer
-    monotone: bool               # interior persisted once established twice
+    monotone: bool               # no two interior masses in a row followed by one that is not
     reasons: list[Optional[str]]  # error message of each failed mass, else None
 
     def to_dict(self) -> dict:
@@ -778,12 +771,14 @@ def scan_mass_threshold(
     jobs: int = 1,
 ) -> ThresholdReport:
     """Empirical probe of the mass threshold: solve at each grid mass and
-    record the first with an interior minimizer.  Masses whose meshes have
-    the same truncation length share one mesh.  A mass whose solve raises
-    ``SolveError`` or ``SolitonError`` (a multiplier that overflows or
-    underflows), or whose halfline ``truncation_length`` refuses as too
-    long for h, is ``not-converged``, with the error's message as its entry
-    of ``reasons``.  A bad grid or a halfline ``edge_id`` raises
+    record the first with an interior minimizer as ``threshold``;
+    ``monotone`` is false when two interior masses in a row are followed by
+    one that is not.  Masses whose meshes have the same truncation length
+    share one mesh.  A mass whose solve raises ``SolveError`` or
+    ``SolitonError`` (a multiplier that overflows or underflows), or whose
+    mesh ``truncation_length`` refuses as too large for h, is
+    ``not-converged``, with the error's message as its entry of
+    ``reasons``.  A bad grid or a halfline ``edge_id`` raises
     ``SolveError``, and a spacing that no mass could mend ``MeshError``,
     before any solve.
     ``jobs`` is accepted for callers that still pass it (the benchmark does)
@@ -794,12 +789,12 @@ def scan_mass_threshold(
         raise SolveError(f"mass grid {grid} must be nonempty, strictly increasing, finite and > 0")
     _bounded_edge(g, edge_id)
     model = make_model(p)
-    truncation_length(cfg.h, cfg.truncation)   # the shortest length: a refusal no mass avoids
+    truncation_length(g, cfg.h, cfg.truncation)   # the smallest mesh: a refusal no mass avoids
     meshes = {}   # by truncation length, the only part of a mesh that depends on mu
 
     def run(mu):
         try:
-            L = truncation_length(cfg.h, cfg.truncation, model.lambda_for_mass(mu))
+            L = truncation_length(g, cfg.h, cfg.truncation, model.lambda_for_mass(mu))
         except (SolitonError, MeshError) as exc:
             return "not-converged", float("nan"), str(exc)
         if L not in meshes:
@@ -815,22 +810,9 @@ def scan_mass_threshold(
     energies = [e for _, e, _ in results]
     reasons = [r for _, _, r in results]
 
-    threshold = None
-    for mu, status in zip(grid, statuses):
-        if status == "interior":
-            threshold = mu
-            break
-
-    monotone = True
-    streak = 0
-    for status in statuses:
-        if status == "interior":
-            streak += 1
-        elif streak >= 2:
-            monotone = False
-            break
-        else:
-            streak = 0
+    threshold = next((mu for mu, s in zip(grid, statuses) if s == "interior"), None)
+    interior = [s == "interior" for s in statuses]
+    monotone = not any(a and b and not c for a, b, c in zip(interior, interior[1:], interior[2:]))
     if not monotone:
         logger.warning("interior status did not persist along the scan grid")
     return ThresholdReport(grid, statuses, energies, threshold, monotone, reasons)

@@ -335,6 +335,7 @@ def test_evolve_subcommand(tmp_path):
         ["--t-final", "-1"],
         ["--seed=-1"],
         ["--seed", "1.5"],
+        ["--t-final", "0.15", "--dt", "0.1"],
     ],
 )
 def test_evolve_rejects_bad_step_flags_before_solving(monkeypatch, capsys, flag):

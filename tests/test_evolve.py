@@ -188,6 +188,10 @@ def test_evolve_rejects_bad_steps(bound_state):
     for t_final, dt in ((1e300, 1e-3), (1.0, 1e-300), (1.0 + 1e7, 1.0)):
         with pytest.raises(EvolveError, match="steps"):
             evolve(u0, 4.0, t_final=t_final, dt=dt)
+    # a run that would stop short of t_final is refused
+    for t_final, dt in ((0.25, 0.1), (1.0, 0.3), (0.15, 0.1)):
+        with pytest.raises(EvolveError, match="whole number of steps"):
+            evolve(u0, 4.0, t_final=t_final, dt=dt)
     for omega in (math.nan, math.inf, True):
         with pytest.raises(EvolveError, match="omega"):
             evolve(u0, 4.0, t_final=0.1, dt=0.01, omega=omega)

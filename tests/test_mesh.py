@@ -460,7 +460,7 @@ def test_truncation_refuses_a_halfline_past_the_element_limit(monkeypatch, mu):
     lam = make_model(4.0).lambda_for_mass(mu)
     monkeypatch.setattr(np, "linspace", _no_grid)
     with pytest.raises(MeshError, match="over the limit of 1000000"):
-        truncation_length(0.01, "auto", lam)
+        truncation_length(halfline_graph(), 0.01, "auto", lam)
     with pytest.raises(MeshError, match="over the limit of 1000000"):
         build_mesh(halfline_graph(), 0.01, lambda_est=lam)
 
@@ -475,9 +475,17 @@ def test_build_mesh_refuses_a_bounded_edge_past_the_element_limit(monkeypatch, l
 
 
 def test_truncation_admits_a_fixed_length_up_to_the_element_limit():
-    assert truncation_length(0.01, 9999.0) == 9999.0
+    assert truncation_length(halfline_graph(), 0.01, 9999.0) == 9999.0
     with pytest.raises(MeshError, match="over the limit"):
-        truncation_length(0.01, 10001.0)
+        truncation_length(halfline_graph(), 0.01, 10001.0)
+
+
+def test_build_mesh_refuses_a_whole_mesh_past_the_element_limit(monkeypatch):
+    # each halfline takes 999 900 elements of h = 0.01, under the limit, but
+    # the eight of them 8.0e6; refused before any node array exists
+    monkeypatch.setattr(np, "linspace", _no_grid)
+    with pytest.raises(MeshError, match="a halfline truncated at 9999 .* 8e\\+06 elements"):
+        build_mesh(star_graph(8), 0.01, trunc=9999.0)
 
 
 def test_swap_twins_moves_a_function_onto_its_reversed_twin():

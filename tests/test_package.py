@@ -2,8 +2,9 @@
 sits at module level, importing the package loads only the sparse parts of
 scipy, one function forms the Euler-Lagrange residual, sparse matrices
 are assembled and the node table read only in ``mesh``, no module reads a
-per-edge mesh record (``edge_meshes``, ``edge_mesh``), and numeric types
-are tested only in ``graphs``."""
+per-edge mesh record (``edge_meshes``, ``edge_mesh``), only the twin loops
+of ``solve`` read ``first_twins``, and numeric types are tested only in
+``graphs``."""
 
 import ast
 import importlib
@@ -127,6 +128,26 @@ def test_no_module_reads_edge_meshes():
         for name in name_readers(p.read_text(), rec)
     ]
     assert users == []
+
+
+def test_checker_flags_first_twins_reads():
+    src = (
+        "from . import graphs\nfrom .graphs import first_twins\n\n"
+        "def catalogue(g):\n    return [e for e in g.edges if first_twins(g)[e.id] == e.id]\n\n"
+        "def ground(g):\n    first = graphs.first_twins(g)\n    return first\n\n"
+        "def starts(g):\n    return g.halflines\n"
+    )
+    assert name_readers(src, "first_twins") == ["catalogue", "ground"]
+
+
+def test_only_the_twin_loops_read_first_twins():
+    # one loop solves the first edge of each twin class and mirrors the
+    # rest, for the catalogue and the ground search alike; the halfline
+    # starts skip twin halflines
+    users = [
+        f"{p.stem}.{name}" for p in ALL_MODULES for name in name_readers(p.read_text(), "first_twins")
+    ]
+    assert users == ["solve._edge_reports", "solve._halfline_starts"]
 
 
 # the ways to build a sparse matrix other than filling the mesh's stencil

@@ -827,6 +827,44 @@ def test_scan_reports_a_mass_whose_halfline_is_too_long():
     assert report.reasons[2] is None
 
 
+def test_scan_reports_a_mass_whose_whole_mesh_is_too_large(monkeypatch):
+    # at p = 4 and h = 0.02 each halfline of mass 3e-3 takes 5.3e5 elements,
+    # under the limit, but the four of them 2.13e6; refused before any node
+    # array exists
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was allocated before the size check")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    report = scan_mass_threshold(double_bridge_graph(1.0), "e", 4.0, [3e-3], SolveConfig(h=0.02))
+    assert report.statuses == ["not-converged"]
+    assert "2.13e+06 elements, over the limit of 1000000" in report.reasons[0]
+
+
+@pytest.mark.parametrize(
+    "statuses, threshold, monotone",
+    [
+        (["escaped", "interior", "interior", "escaped"], 2.0, False),
+        (["interior", "escaped", "interior", "interior"], 1.0, True),
+        (["escaped", "escaped"], None, True),
+    ],
+)
+def test_scan_summary_reads_the_statuses(monkeypatch, statuses, threshold, monotone):
+    # stub solves at the masses 1, 2, ... end in the given statuses: the
+    # threshold is the first interior mass, and interior fails to persist
+    # only when two interior masses in a row are followed by one that is not
+    grid = [float(k) for k in range(1, len(statuses) + 1)]
+    by_mass = dict(zip(grid, statuses))
+
+    def stub_solve(g, edge_id, mu, p, cfg, mesh=None):
+        return SimpleNamespace(status=by_mass[mu], energy=SimpleNamespace(total=-mu))
+
+    monkeypatch.setattr(solve_module, "minimize_on_edge", stub_solve)
+    cfg = SolveConfig(h=0.05, truncation=2.0)
+    report = scan_mass_threshold(double_bridge_graph(0.3), "e", 4.0, grid, cfg)
+    assert report.statuses == statuses
+    assert (report.threshold, report.monotone) == (threshold, monotone)
+
+
 def test_scan_raises_for_a_spacing_no_mass_mends():
     g = double_bridge_graph(1.0)
     with pytest.raises(MeshError, match="over the limit"):
