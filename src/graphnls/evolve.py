@@ -15,8 +15,17 @@ for a bound state it is stationary.  A sweep solves
     (i M / dt - L / 2 + G / 2) v_new = (i M / dt + L / 2 - G / 2) v_old - r(v_mid)
 
 for the rest r(v) = n(v) - G v, which is the step above rewritten, so the
-fixed point does not change; near |u0| the sweeps contract faster.  Each
-step starts from one solve with the rest r(v_mid) predicted by the
+fixed point does not change; near |u0| the sweeps contract faster.  The
+two operators sum to 2i M / dt, so a sweep solves for w = v_old + v_new,
+
+    (i M / dt - L / 2 + G / 2) w = (2i / dt) M v_old - r(w / 2),
+
+and v_new = w - v_old: the right side needs M v_old only, and the update
+of w is that of v_new.  The rest and the recorded potential are formed on
+|v|^2 = Re(v)^2 + Im(v)^2, with |v|^(p-2) and |v|^p taken as its powers
+(p-2)/2 and p/2, which at p = 4 are a copy and a square.
+
+Each step starts from one solve with the rest r(v_mid) predicted by the
 quadratic extrapolation of the last three steps' final rests: the linear
 part, and with it the stiff modes, is then exact from the start, and only
 the smooth error of the rest is left to the sweeps.
@@ -121,7 +130,7 @@ def evolve(
     K = mesh.stiffness_matrix.astype(complex)
     P, _, node_w, mid_w = mesh.simpson_rule
     P = P.astype(complex)
-    rule = (P, P.T, node_w, mid_w)
+    P_t = P.T
 
     u = u0.values.astype(complex)
     scale0 = float(np.max(np.abs(u))) or 1.0
@@ -141,24 +150,30 @@ def evolve(
     rests = []   # final rests of the last three steps, newest first
 
     def rest(v):
-        """The load n(v) less the part G v that the factored operator carries."""
-        return fn.simpson_load(rule, *fn.simpson_nonlinearity(v, P @ v, p)) - G * v
+        """The Simpson load n(v) less the part G v that the factored
+        operator carries, with |v|^(p-2) taken as (|v|^2)^((p-2)/2)."""
+        m = P @ v
+        return (node_w * _abs2(v) ** (0.5 * p - 1.0) - G) * v + P_t @ (
+            mid_w * _abs2(m) ** (0.5 * p - 1.0) * m
+        )
 
     def record(step, v):
-        """Store the mass and energy of v; return M v and K v, from which
-        the next step's right side is formed."""
+        """Store the mass and energy of v, the potential's Simpson sum taken
+        on (|v|^2)^(p/2); return M v, from which the next step's right side
+        is formed."""
         Mv = M @ v
-        Kv = K @ v
+        m = P @ v
+        power = node_w @ _abs2(v) ** (0.5 * p) + mid_w @ _abs2(m) ** (0.5 * p)
         masses[step] = np.real(np.vdot(v, Mv))
-        energies[step] = 0.5 * np.real(np.vdot(v, Kv)) - fn.simpson_power(rule, v, p) / p
-        return Mv, Kv
+        energies[step] = 0.5 * np.real(np.vdot(v, K @ v)) - power / p
+        return Mv
 
     # a state that blows up overflows before its update turns non-finite;
     # the check on the update reports it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        Mu, Ku = record(0, u)
+        Mu = record(0, u)
         for step in range(n_steps):
-            c = (1j / dt + 0.5 * omega) * Mu + 0.5 * Ku - 0.5 * G * u
+            b = (2j / dt) * Mu
             # predict the rest from the last steps' final rests (constant,
             # linear, then quadratic) and start from the solve it gives
             if not rests:
@@ -169,14 +184,15 @@ def evolve(
                 r = 2.0 * rests[0] - rests[1]
             else:
                 r = 3.0 * (rests[0] - rests[1]) + rests[2]
-            un = solver.solve(c - r)
+            w = solver.solve(b - r)
             for sweep in range(MAX_SWEEPS):
-                r = rest(0.5 * (u + un))
-                un_next = solver.solve(c - r)
-                delta = float(np.max(np.abs(un_next - un)))
+                r = rest(0.5 * w)
+                w_next = solver.solve(b - r)
+                # w - u is the new state, so this is the update of the state
+                delta = float(np.max(np.abs(w_next - w)))
                 if not math.isfinite(delta):
                     raise EvolveError(f"non-finite values at step {step}; the state blew up")
-                un = un_next
+                w = w_next
                 if delta <= fp_tol * scale0:
                     sweeps_max = max(sweeps_max, sweep + 1)
                     sweeps_total += sweep + 1
@@ -187,8 +203,8 @@ def evolve(
                     f"last update {delta:.3e} (try a smaller dt)"
                 )
             rests = [r] + rests[:2]
-            u = un
-            Mu, Ku = record(step + 1, u)
+            u = w - u
+            Mu = record(step + 1, u)
             times[step + 1] = (step + 1) * dt
             if callback is not None:
                 callback(times[step + 1], GraphFunction(mesh, u))
@@ -201,6 +217,11 @@ def evolve(
         sweeps_max=sweeps_max,
         sweeps_total=sweeps_total,
     )
+
+
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 of complex values, without the square root of np.abs."""
+    return v.real ** 2 + v.imag ** 2
 
 
 def _h1_product(mesh: Mesh, a: np.ndarray, b: np.ndarray) -> complex:

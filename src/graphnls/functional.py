@@ -53,13 +53,8 @@ def kinetic(u: GraphFunction) -> float:
 
 def lp_power_quad(u: GraphFunction, p: float) -> float:
     """||u||_p^p by element Simpson with midpoint evaluation."""
-    return simpson_power(u.mesh.simpson_rule, u.values, p)
-
-
-def simpson_power(rule: tuple, v: np.ndarray, p: float) -> float:
-    """Element Simpson integral of |v|^p from the nodal values v, by the
-    rule ``Mesh.simpson_rule`` or a copy of it of the dtype of v."""
-    P, _, node_w, mid_w = rule
+    P, _, node_w, mid_w = u.mesh.simpson_rule
+    v = u.values
     return float(node_w @ np.abs(v) ** p + mid_w @ np.abs(P @ v) ** p)
 
 
@@ -109,8 +104,7 @@ def simpson_nonlinearity(v: np.ndarray, m: np.ndarray, p: float):
 
 def simpson_load(rule: tuple, f_nodes: np.ndarray, f_mids: np.ndarray) -> np.ndarray:
     """Weak form (int f eta)_eta by element Simpson, from the nodal and
-    midpoint samples of f, by the rule ``Mesh.simpson_rule`` or a copy of
-    it of the dtype of f."""
+    midpoint samples of f, by the rule ``Mesh.simpson_rule``."""
     _, P_t, node_w, mid_w = rule
     return node_w * f_nodes + P_t @ (mid_w * f_mids)
 
