@@ -159,11 +159,11 @@ class Mesh:
 
     def stencil_matrix(self, data: np.ndarray, fmt: str = "csr", border=None):
         """The matrix A with entries ``data`` on the stencil pattern, as CSR
-        or (``fmt="csc"``, for ``splu``; ``factor`` is the faster solver on
-        this pattern) CSC.  The pattern and every matrix assembled on it are
-        symmetric, so one set of arrays reads either way, and matrices on
-        the pattern combine by their ``data``.  With k columns ``border`` B,
-        the bordered matrix [[A, B], [B^T, 0]] instead."""
+        or (``fmt="csc"``, for ``splu``) CSC.  The pattern and every matrix
+        assembled on it are symmetric, so one set of arrays reads either
+        way, and matrices on the pattern combine by their ``data``.  With k
+        columns ``border`` B, the bordered matrix [[A, B], [B^T, 0]]
+        instead."""
         cls = sp.csc_matrix if fmt == "csc" else sp.csr_matrix
         shape = (self.ndof, self.ndof)
         A = cls((data, self.stencil_indices, self.stencil_indptr), shape=shape)

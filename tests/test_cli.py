@@ -320,6 +320,22 @@ def test_evolve_subcommand(tmp_path):
     assert doc["stability"]["sweeps_max"] >= 1
 
 
+def test_evolve_refuses_an_unconverged_state(capsys):
+    # Example 1's edge e1 at mass 80 and h 0.02 stops short of tolerance,
+    # and a probe of a state that is no bound state would show nothing
+    argv = [
+        "evolve", "--graph", "example1", "--edge", "e1", "--mass", "80", "--h", "0.02",
+        "--t-final", "0.01", "--dt", "0.001",
+    ]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "numerical failure: cannot probe a state that did not converge "
+        "(status 'not-converged')\n"
+    )
+
+
 @pytest.mark.parametrize(
     "flag",
     [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,21 @@ def test_rotating_frame_records_the_physical_energy(bound_state):
     # the last record is of a complex state, so its imaginary part counts
     assert rot.energy_history[-1] == pytest.approx(fn.energy(rot.final, 4.0).total, rel=1e-13)
     assert rot.mass_history[-1] == pytest.approx(fn.mass(rot.final), rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+def test_every_record_is_the_mass_and_energy_of_its_state(bound_state, p):
+    # a record takes M v, K v and P v as slices of one product with the
+    # stacked [M; K; P]; record 0 is of the start, record k of the state
+    # that the callback sees after step k
+    u0 = bound_state.minimizer
+    start = GraphFunction(u0.mesh, u0.values + 1e-2 * smoothed_perturbation(u0.mesh))
+    states = [start]
+    res = evolve(start, p, t_final=0.05, dt=0.005, callback=lambda t, u: states.append(u))
+    assert len(states) == res.mass_history.size == res.energy_history.size == 11
+    for u, mass, energy in zip(states, res.mass_history, res.energy_history):
+        assert mass == pytest.approx(fn.mass(u), rel=1e-13)
+        assert energy == pytest.approx(fn.energy(u, p).total, rel=1e-13)
 
 
 def test_unperturbed_probe_is_a_fixed_point_in_the_rotating_frame(bound_state):
@@ -255,6 +271,14 @@ def test_stability_probe_rejects_bad_input(bound_state, kwargs):
     args = {"epsilon": 1e-2, "t_final": 0.1, "dt": 0.01, "stride": 1, **kwargs}
     with pytest.raises(EvolveError):
         stability_probe(bound_state, **args)
+
+
+@pytest.mark.parametrize("status", ["not-converged", "escaped"])
+def test_stability_probe_refuses_an_unconverged_state(bound_state, status):
+    # a state short of tolerance is no bound state, so its probe shows nothing
+    report = dataclasses.replace(bound_state, converged=False, status=status)
+    with pytest.raises(EvolveError, match=f"did not converge \\(status '{status}'\\)"):
+        stability_probe(report, epsilon=1e-2, t_final=0.1, dt=0.01)
 
 
 def test_orbital_distance_phase_invariant(bound_state):

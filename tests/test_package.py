@@ -299,10 +299,13 @@ def test_the_benchmark_tracer_counts_a_traced_run():
     try:
         edge = solve.minimize_on_edge(graphs.double_bridge_graph(1.0), "e", 8.0, 4.0, cfg)
         free = solve.ground_state(graphs.halfline_graph(), 2.0, 4.0, cfg)
-        evolve.stability_probe(edge, epsilon=0.01, t_final=0.1, dt=0.01)
+        probe = evolve.stability_probe(edge, epsilon=0.01, t_final=0.1, dt=0.01)
     finally:
         t.uninstall()
     metrics = tracer.layer_metrics(t.spans)
     assert metrics["solve.pgd_steps"] == edge.iterations + free.iterations
     assert metrics["evolve.cn_steps"] == 10
+    # every sweep and each step's predictor solve goes through the traced
+    # evolve.splu factors; a factorization that bypassed it would count 0
+    assert metrics["evolve.fp_sweeps"] == probe.sweeps + 10
     assert all(getattr(o, a) is f for (o, a), f in zip(patched, originals))
