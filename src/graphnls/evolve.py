@@ -222,10 +222,11 @@ def evolve(
 
 
 def _factor(mesh: Mesh, data: np.ndarray):
-    """SuperLU factors of the stencil matrix with entries ``data``.  The
-    pattern is symmetric, so SuperLU's symmetric mode with a minimum-degree
-    order on A^T + A applies; its solves are faster than those of the
-    default column order, at no more fill."""
+    """SuperLU factors of the stencil matrix with entries ``data``, for the
+    Crank-Nicolson operator alone.  The pattern is symmetric, so SuperLU's
+    symmetric mode with a minimum-degree order on A^T + A applies; its
+    solves are faster than those of the default column order, at no more
+    fill, and than ``Mesh.factor``'s on this complex symmetric operator."""
     A = mesh.stencil_matrix(data, "csc")
     return splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
@@ -261,12 +262,17 @@ def orbital_distance(u: GraphFunction, v: GraphFunction) -> float:
 
 def smoothed_perturbation(mesh: Mesh, seed: int = 0) -> np.ndarray:
     """Unit-H1-norm smooth random direction: white nodal noise passed twice
-    through (K + M)^{-1}, its real and imaginary parts as two columns."""
+    through (K + M)^{-1}, factored by ``Mesh.factor`` (K + M is positive
+    definite, so its chain takes the LDL^T path), its real and imaginary
+    parts as separate solves."""
     rng = np.random.default_rng(seed)
     raw = rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof)
-    smooth = _factor(mesh, mesh.stiffness_matrix.data + mesh.mass_matrix.data)
-    x = smooth.solve(smooth.solve(np.column_stack([raw.real, raw.imag])))
-    v = x[:, 0] + 1j * x[:, 1]
+    solve = mesh.factor(mesh.stiffness_matrix.data + mesh.mass_matrix.data)
+
+    def smooth(b):
+        return solve(solve(b)[0])[0]
+
+    v = smooth(raw.real) + 1j * smooth(raw.imag)
     norm = math.sqrt(float(np.real(_h1_product(mesh, v, v))))
     return v / norm
 

@@ -176,27 +176,42 @@ class Mesh:
         ``data`` and the k columns ``border`` B (k = 0 when None), and
         return ``solve(f, g=()) -> (x, m)`` for the right-hand side [f; g].
 
-        The interior dofs form a tridiagonal chain, factored by LAPACK
-        ``?gttrf``; the vertex dofs and B form one border of width nv + k,
-        eliminated through its dense Schur complement (Keller's bordering,
-        Govaerts, Numerical Methods for Bifurcations of Dynamical
-        Equilibria, SIAM 2000).  Real or complex symmetric (transposes, not
-        adjoints) by the dtype of ``data`` and B.  The chain cannot pivot
-        across a vertex, so this raises LinAlgError when the chain or the
-        Schur complement is exactly singular, whether or not the whole
-        matrix is."""
+        The interior dofs form a tridiagonal chain.  A real chain is factored
+        by LAPACK ``dpttrf``, an unpivoted LDL^T, and solved by ``dpttrs``
+        when ``dpttrf`` finds it positive definite (every pivot positive);
+        an indefinite or complex chain goes to ``?gttrf``/``?gttrs``, LU with
+        partial pivoting (never ``zpttrf``: it factors Hermitian matrices,
+        and the complex chains here are complex symmetric).  The vertex dofs
+        and B form one border of width nv + k, eliminated through its dense
+        Schur complement (Keller's bordering, Govaerts, Numerical Methods
+        for Bifurcations of Dynamical Equilibria, SIAM 2000).  Real or
+        complex symmetric (transposes, not adjoints) by the dtype of
+        ``data`` and B.  The chain cannot pivot across a vertex, so this
+        raises LinAlgError when the chain or the Schur complement is exactly
+        singular, whether or not the whole matrix is."""
         nv = self.vertex_dofs.size
         B = np.zeros((self.ndof, 0)) if border is None else border
         dtype = np.result_type(data, B)
-        gttrf, gttrs, getrf, getrs = get_lapack_funcs(
-            ("gttrf", "gttrs", "getrf", "getrs"), dtype=dtype
-        )
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
         pos, slots = self.chain_entries
         off = np.zeros(self.ndof - nv - 1, dtype)
         off[pos] = data[slots]
-        dl, d, du, du2, ipiv, info = gttrf(off, data[self.diagonal_slots[nv:]], off)
-        if info > 0:
-            raise np.linalg.LinAlgError(f"interior chain singular at dof {nv + info - 1}")
+        diag = data[self.diagonal_slots[nv:]]
+        chain = None
+        if dtype.kind == "f":
+            pttrf, pttrs = get_lapack_funcs(("pttrf", "pttrs"), dtype=dtype)
+            d, e, info = pttrf(diag, off)
+            if info == 0:
+                def chain(b):
+                    return pttrs(d, e, b)[0]
+        if chain is None:
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), dtype=dtype)
+            dl, d, du, du2, ipiv, info = gttrf(off, diag, off)
+            if info > 0:
+                raise np.linalg.LinAlgError(f"interior chain singular at dof {nv + info - 1}")
+
+            def chain(b):
+                return gttrs(dl, d, du, du2, ipiv, b)[0]
 
         # E: the border's interior rows, D: its own block
         nb = nv + B.shape[1]
@@ -209,13 +224,13 @@ class Mesh:
         D[rows, cols] = data[slots]
         D[:nv, nv:] = B[:nv]
         D[nv:, :nv] = B[:nv].T
-        Z = gttrs(dl, d, du, du2, ipiv, E)[0]
+        Z = chain(E)
         lu, piv, info = getrf(D - E.T @ Z)
         if info > 0:
             raise np.linalg.LinAlgError("bordered Schur complement singular")
 
         def solve(f, g=()):
-            y = gttrs(dl, d, du, du2, ipiv, f[nv:])[0]
+            y = chain(f[nv:])
             z = getrs(lu, piv, np.concatenate([f[:nv], g]) - E.T @ y)[0]
             y -= Z @ z
             return np.concatenate([z[:nv], y]), z[nv:]

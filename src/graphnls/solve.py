@@ -191,14 +191,17 @@ BACKWARD_ERROR = 1e-14
 def _bordered_solve(mesh, data, B, f, g):
     """Solve [[H, B], [B^T, 0]] [x; m] = [f; g] for the stencil matrix H
     with entries ``data`` and k border columns B: Keller's bordering on the
-    mesh's chain factorization (``Mesh.factor``), then two refinement steps
-    on the full system, since H can be nearly singular along the translation
-    mode, where the plain elimination loses digits.  The chain cannot pivot
-    across a vertex, so when it or the border's Schur complement is
-    singular, or the refined solution's normwise backward error (the
-    bordered matrix in the Frobenius norm) exceeds ``BACKWARD_ERROR``,
-    SuperLU factors the full bordered matrix instead.  Raises RuntimeError
-    when that is singular too."""
+    mesh's chain factorization (``Mesh.factor``), then iterative refinement
+    on the full system, since the chain cannot pivot across a vertex and a
+    weak chain pivot makes the plain elimination lose digits.  After each
+    chain solve the normwise backward error (the bordered matrix in the
+    Frobenius norm) is measured, and the first solution within
+    ``BACKWARD_ERROR`` is returned (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 12); Newton systems almost always
+    pass after one solve.  When the chain or the border's Schur complement
+    is singular, or three solves leave the backward error above
+    ``BACKWARD_ERROR``, SuperLU factors the full bordered matrix instead.
+    Raises RuntimeError when that is singular too."""
     n = f.size
     rhs = np.concatenate([f, g])
     try:
@@ -207,13 +210,14 @@ def _bordered_solve(mesh, data, B, f, g):
         pass
     else:
         H = mesh.stencil_matrix(data)
+        norm_A = math.sqrt(np.sum(data * data) + 2.0 * np.sum(B * B))
+        norm_rhs = np.linalg.norm(rhs)
         z, r = 0.0, rhs
         for _ in range(3):
             z = z + np.concatenate(solve(r[:n], r[n:]))
             r = rhs - np.concatenate([H @ z[:n] + B @ z[n:], B.T @ z[:n]])
-        norm_A = math.sqrt(np.sum(data * data) + 2.0 * np.sum(B * B))
-        if np.linalg.norm(r) <= BACKWARD_ERROR * (np.linalg.norm(rhs) + norm_A * np.linalg.norm(z)):
-            return z[:n], z[n:]
+            if np.linalg.norm(r) <= BACKWARD_ERROR * (norm_rhs + norm_A * np.linalg.norm(z)):
+                return z[:n], z[n:]
     z = splu(mesh.stencil_matrix(data, "csc", border=B)).solve(rhs)
     return z[:n], z[n:]
 
@@ -438,7 +442,8 @@ def _descend(
     The preconditioner is K + s M with s the larger of the start's
     multiplier and the line soliton's at mass mu (the multiplier the descent
     heads for), factored once by the mesh's chain factorization
-    (``Mesh.factor``); the mesh must resolve that soliton
+    (``Mesh.factor``; K + s M is positive definite, so its chain takes the
+    LDL^T path); the mesh must resolve that soliton
     (``_resolved_multiplier``).  Each step pays one preconditioner solve and
     four sparse products (the gradient's P^T and K d, M d, P d); its first
     trial is the Barzilai-Borwein step measured in the metric of K + s M,

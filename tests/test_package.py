@@ -1,10 +1,10 @@
 """Package hygiene: no module imports a name it never uses, every import
 sits at module level, importing the package loads only the sparse parts of
 scipy, one function forms the Euler-Lagrange residual, sparse matrices
-are assembled and the node table read only in ``mesh``, no module reads a
-per-edge mesh record (``edge_meshes``, ``edge_mesh``), only the twin loops
-of ``solve`` read ``first_twins``, and numeric types are tested only in
-``graphs``."""
+are assembled, LAPACK called and the node table read only in ``mesh``, no
+module reads a per-edge mesh record (``edge_meshes``, ``edge_mesh``), only
+the twin loops of ``solve`` read ``first_twins``, and numeric types are
+tested only in ``graphs``."""
 
 import ast
 import importlib
@@ -189,6 +189,44 @@ def test_only_mesh_assembles_sparse_matrices():
     # every matrix outside mesh.py is a sum of .data arrays on the stencil
     # pattern, wrapped by Mesh.stencil_matrix
     uses = {p.stem: assembly_uses(p.read_text()) for p in ALL_MODULES if p.name != "mesh.py"}
+    assert {stem: found for stem, found in uses.items() if found} == {}
+
+
+def lapack_uses(source: str) -> list[str]:
+    """``what (line n)`` for every import of ``scipy.linalg`` or a module
+    under it, and every name or attribute ``get_lapack_funcs``, in
+    ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            modules = []
+        if any(m == "scipy.linalg" or m.startswith("scipy.linalg.") for m in modules):
+            found.add(f"import scipy.linalg (line {node.lineno})")
+        if getattr(node, "id", getattr(node, "attr", None)) == "get_lapack_funcs":
+            found.add(f"get_lapack_funcs (line {node.lineno})")
+    return sorted(found)
+
+
+def test_checker_flags_a_lapack_call():
+    src = (
+        "import scipy\nimport scipy.linalg as la\nfrom scipy import linalg\n"
+        "from scipy.sparse.linalg import splu\nfrom scipy.linalg.lapack import dpttrf\n\n"
+        "def f(d, e):\n    return scipy.linalg.get_lapack_funcs(('pttrf',))[0](d, e), splu\n"
+    )
+    assert lapack_uses(src) == [
+        "get_lapack_funcs (line 8)", "import scipy.linalg (line 2)",
+        "import scipy.linalg (line 3)", "import scipy.linalg (line 5)",
+    ]
+
+
+def test_only_mesh_calls_lapack():
+    # the chain factorization, and the choice between LDL^T and pivoted LU,
+    # live in Mesh.factor; every other module solves through it or SuperLU
+    uses = {p.stem: lapack_uses(p.read_text()) for p in ALL_MODULES if p.name != "mesh.py"}
     assert {stem: found for stem, found in uses.items() if found} == {}
 
 

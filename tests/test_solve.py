@@ -19,6 +19,7 @@ from graphnls.graphs import (
 )
 from graphnls.mesh import (
     GraphFunction,
+    Mesh,
     MeshError,
     argmax,
     build_mesh,
@@ -478,6 +479,34 @@ def test_bordered_solve_refines_nearly_singular_hessian(ex3_newton_system, k):
     _check_bordered_solve(mesh, shifted, B, seed=10 + k)
 
 
+def _count_chain_solves(monkeypatch):
+    """Wrap ``Mesh.factor`` so that each factorization appends a counter of
+    the calls of the solve it returns; the list of counters is returned."""
+    counts = []
+    factor = Mesh.factor
+
+    def counting_factor(self, data, border=None):
+        solve = factor(self, data, border)
+        counts.append(0)
+
+        def counted(f, g=()):
+            counts[-1] += 1
+            return solve(f, g)
+
+        return counted
+
+    monkeypatch.setattr(Mesh, "factor", counting_factor)
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_bordered_solve_stops_after_one_chain_solve_on_newton_systems(ex3_newton_system, k, monkeypatch):
+    rep, data, Mu, w = ex3_newton_system
+    solves = _count_chain_solves(monkeypatch)
+    _check_bordered_solve(rep.minimizer.mesh, data, np.column_stack([Mu, w][:k]), seed=k)
+    assert solves == [1]
+
+
 def test_bordered_solve_uses_the_chain_factorization_on_newton_systems(ex3_newton_system, monkeypatch):
     rep, data, Mu, w = ex3_newton_system
     calls = []
@@ -514,6 +543,25 @@ def test_bordered_solve_falls_back_to_superlu_when_the_chain_is_singular(pivot, 
     monkeypatch.setattr(solve_module, "splu", lambda A: calls.append(A) or splu(A))
     _check_bordered_solve(mesh, data, B, seed=4)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pivot, solves", [(1e-8, 2), (1e-12, 3)])
+def test_bordered_solve_refines_a_weak_chain_pivot(pivot, solves, monkeypatch):
+    # the first interior dof keeps only its vertex coupling and a small
+    # diagonal entry: the first chain solve fails the backward-error test,
+    # and refinement passes it before SuperLU is needed
+    mesh = build_mesh(double_bridge_graph(0.3), h=0.05, trunc=3.0)
+    M, K = mesh.mass_matrix, mesh.stiffness_matrix
+    data = K.data + M.data
+    first = mesh.vertex_dofs.size
+    data[_stencil_slot(mesh, first, first)] = pivot
+    data[[_stencil_slot(mesh, first, first + 1), _stencil_slot(mesh, first + 1, first)]] = 0.0
+    B = (M @ np.ones(mesh.ndof))[:, None]
+    counts = _count_chain_solves(monkeypatch)
+    calls = []
+    monkeypatch.setattr(solve_module, "splu", lambda A: calls.append(A) or splu(A))
+    _check_bordered_solve(mesh, data, B, seed=4)
+    assert counts == [solves] and calls == []
 
 
 def test_newton_refine_keeps_converged_state(ex3_newton_system):
