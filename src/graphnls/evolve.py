@@ -26,9 +26,10 @@ of w is that of v_new.  The rest and the recorded potential are formed on
 (p-2)/2 and p/2, which at p = 4 are a copy and a square.
 
 Each step starts from one solve with the rest r(v_mid) predicted by the
-quadratic extrapolation of the last three steps' final rests: the linear
-part, and with it the stiff modes, is then exact from the start, and only
-the smooth error of the rest is left to the sweeps.
+quadratic extrapolation of the last three steps' final rests, the rest
+at the start standing in for the steps before the first: the linear part,
+and with it the stiff modes, is then exact from the start, and only the
+smooth error of the rest is left to the sweeps.
 At fixed-point convergence the scheme conserves the discrete mass exactly.
 A bound state of multiplier lambda is a fixed point of the scheme in the
 frame omega = lambda, and evolves as exp(i lambda t) times itself in the
@@ -144,12 +145,17 @@ def evolve(
         raise EvolveError("non-finite values at step 0; the state blew up")
     J = (1j / dt - 0.5 * omega) * mesh.mass_matrix.data - 0.5 * mesh.stiffness_matrix.data
     J[mesh.diagonal_slots] += 0.5 * G
-    solver = _factor(mesh, J)
+    # the pattern is symmetric, so SuperLU's symmetric mode with a
+    # minimum-degree order on A^T + A applies; its solves are faster than
+    # those of the default column order, at no more fill, and than
+    # Mesh.factor's on this complex symmetric operator
+    solver = splu(
+        mesh.stencil_matrix(J, "csc"), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+    )
     times = np.zeros(n_steps + 1)
     masses = np.zeros(n_steps + 1)
     energies = np.zeros(n_steps + 1)
     sweeps_max = sweeps_total = 0
-    rests = []   # final rests of the last three steps, newest first
 
     def rest(v):
         """The Simpson load n(v) less the part G v that the factored
@@ -174,19 +180,13 @@ def evolve(
     # the check on the update reports it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
         Mu = record(0, u)
+        # final rests of the last three steps, newest first; the rest at the
+        # start stands in for the steps before the first
+        rests = [rest(u)] * 3
         for step in range(n_steps):
             b = (2j / dt) * Mu
-            # predict the rest from the last steps' final rests (constant,
-            # linear, then quadratic) and start from the solve it gives
-            if not rests:
-                r = rest(u)
-            elif len(rests) == 1:
-                r = rests[0]
-            elif len(rests) == 2:
-                r = 2.0 * rests[0] - rests[1]
-            else:
-                r = 3.0 * (rests[0] - rests[1]) + rests[2]
-            w = solver.solve(b - r)
+            # start from the solve with the rest extrapolated quadratically
+            w = solver.solve(b - (3.0 * (rests[0] - rests[1]) + rests[2]))
             for sweep in range(MAX_SWEEPS):
                 r = rest(0.5 * w)
                 w_next = solver.solve(b - r)
@@ -219,16 +219,6 @@ def evolve(
         sweeps_max=sweeps_max,
         sweeps_total=sweeps_total,
     )
-
-
-def _factor(mesh: Mesh, data: np.ndarray):
-    """SuperLU factors of the stencil matrix with entries ``data``, for the
-    Crank-Nicolson operator alone.  The pattern is symmetric, so SuperLU's
-    symmetric mode with a minimum-degree order on A^T + A applies; its
-    solves are faster than those of the default column order, at no more
-    fill, and than ``Mesh.factor``'s on this complex symmetric operator."""
-    A = mesh.stencil_matrix(data, "csc")
-    return splu(A, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
 
 def _abs2(v: np.ndarray) -> np.ndarray:

@@ -116,22 +116,10 @@ class Mesh:
         except KeyError:
             raise MeshError(f"unknown edge {edge_id!r}") from None
 
-    def edge_index(self, edge_id: str) -> int:
-        """Position of the edge in ``graph.edges``, as in ``node_edge`` and
-        ``el_edge``."""
-        return int(self.node_edge[self.edge_nodes(edge_id).start])
-
     def element_values(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodal values ``(a, b)`` at the left and right end of every element."""
         ext = np.append(v, 0.0)
         return ext[self.el_left], ext[self.el_right]
-
-    def scatter(self, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-        """Nodal vector summing real per-element contributions ``wa`` to the
-        left and ``wb`` to the right dofs."""
-        n = self.ndof + 1
-        out = np.bincount(self.el_left, wa, n) + np.bincount(self.el_right, wb, n)
-        return out[:-1]
 
     def node_values(self, v: np.ndarray) -> np.ndarray:
         """Nodal values ``v`` at every node-table entry, the fixed zero at a
@@ -286,7 +274,9 @@ class Mesh:
         # P.T is a CSC view on P's arrays, kept so that no product pays for a
         # fresh transpose.  Simpson's end weights h/6 collect on the nodes
         # (not lumped/3: the lumped mass drops the coupling to a fixed zero).
-        self.simpson_rule = (P, P.T, self.scatter(h / 6.0, h / 6.0), 2.0 * h / 3.0)
+        n = self.ndof + 1
+        node_w = np.bincount(self.el_left, h / 6.0, n) + np.bincount(self.el_right, h / 6.0, n)
+        self.simpson_rule = (P, P.T, node_w[:-1], 2.0 * h / 3.0)
 
 
 def truncation_length(

@@ -307,7 +307,7 @@ def _equilibrate_translation(mesh, x0, lam0, mu, p, edge_id, tol):
     run = mesh.edge_nodes(edge_id)
     coords = mesh.node_x[run]
     length = coords[-1]
-    h = mesh.edge_h[mesh.edge_index(edge_id)]
+    h = mesh.edge_h[mesh.node_edge[run.start]]
     lo_c, hi_c = 2.0 * h, length - 2.0 * h
     if hi_c <= lo_c:
         return None
@@ -569,30 +569,31 @@ def _classify(
     solution of u'' = lam u - u^(p-1) decays along a halfline only if
     lam > 0), rules out a bound state on the edge on its own, so either
     decides ``escaped`` whether or not the run converged.  Only then does
-    a run short of tolerance get ``not-converged``.
+    a run short of tolerance get ``not-converged``.  Returns ``(status,
+    margin, mass_loss)``.
     """
     top_edge, top_x, _ = argmax(u)
     m_loss = migrated_mass(u)
     ref_edge = edge_id if edge_id is not None else top_edge
     margin = verify.localization_margin(u, ref_edge)
     if lam <= 0.0 or (edge_id is not None and top_edge != edge_id):
-        return "escaped", margin, m_loss, top_edge
+        return "escaped", margin, m_loss
     if not converged:
-        return "not-converged", margin, m_loss, top_edge
+        return "not-converged", margin, m_loss
     if m_loss > 0.05 * mu:
-        return "escaped", margin, m_loss, top_edge
+        return "escaped", margin, m_loss
     if margin <= 0.0:
-        return "constraint-active", margin, m_loss, top_edge
+        return "constraint-active", margin, m_loss
     if _branch_vertex_distance(mesh, top_edge, top_x) <= 2.0 * mesh.h:
-        return "constraint-active", margin, m_loss, top_edge
-    return "interior", margin, m_loss, top_edge
+        return "constraint-active", margin, m_loss
+    return "interior", margin, m_loss
 
 
 def _finish_report(mesh, descent, mu, p, cfg, edge_id):
     """The report of one ``_descend`` result, its residual norms read from
     the row vector the descent returns."""
     u, lam, _, iters, converged, r = descent
-    status, margin, m_loss, _ = _classify(mesh, u, lam, mu, edge_id, converged)
+    status, margin, m_loss = _classify(mesh, u, lam, mu, edge_id, converged)
     el, kirchhoff = verify.row_norms(mesh, r)
     return SolveReport(
         minimizer=u,
@@ -641,12 +642,12 @@ def minimize_on_edge(
     model = make_model(p)
     if mesh is None:
         mesh = _resolve_mesh(g, cfg, model, mu)
-    for v in (e.src, e.dst):
-        if g.degree(v) == 2:
-            logger.warning(
-                "edge %r has an endpoint of degree two; normalize the graph "
-                "to merge pass-through vertices", edge_id,
-            )
+    pass_through = [v for v in dict.fromkeys((e.src, e.dst)) if g.degree(v) == 2]
+    if pass_through:
+        logger.warning(
+            "edge %r has endpoints of degree two (%s); normalize the graph "
+            "to merge pass-through vertices", edge_id, ", ".join(pass_through),
+        )
     try:
         u0 = compact_competitor(model, mu, 0.1, mesh, edge_id)
     except SolitonError:
@@ -677,7 +678,7 @@ def _edge_reports(
             continue
         rep = reports[first[e.id]]
         u = GraphFunction(mesh, mesh.swap_twins(rep.minimizer.values, rep.edge, e.id))
-        status, margin, _, _ = _classify(mesh, u, rep.lam, mu, e.id, rep.converged)
+        status, margin, _ = _classify(mesh, u, rep.lam, mu, e.id, rep.converged)
         reports[e.id] = replace(
             rep, minimizer=u, status=status, localization_margin=margin, edge=e.id
         )

@@ -106,8 +106,8 @@ def test_unperturbed_probe_is_a_fixed_point_in_the_rotating_frame(bound_state):
 
 
 def test_load_predictor_leaves_three_sweeps_per_step(bound_state):
-    # the first three steps predict from fewer loads; the runs agree on
-    # them, so the difference counts the sweeps of the later 97 steps.  A
+    # the first three steps extrapolate the start's rest too; the runs agree
+    # on them, so the difference counts the sweeps of the later 97 steps.  A
     # start extrapolated from the last three states takes 4 sweeps there
     args = {"epsilon": 1e-2, "dt": 0.005, "fp_tol": 1e-12}
     head = stability_probe(bound_state, t_final=0.015, **args)

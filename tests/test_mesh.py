@@ -35,8 +35,9 @@ def test_build_mesh_shapes():
     g = double_bridge_graph(0.3)
     mesh = build_mesh(g, h=0.05, trunc=5.0)
     assert mesh.edge_halfline.size == 5
-    x = mesh.node_x[mesh.edge_nodes("e")]
-    assert not mesh.edge_halfline[mesh.edge_index("e")]
+    run = mesh.edge_nodes("e")
+    x = mesh.node_x[run]
+    assert not mesh.edge_halfline[mesh.node_edge[run.start]]
     assert x[0] == 0.0
     assert x[-1] == pytest.approx(0.3)
     for e in g.halflines:
@@ -219,7 +220,7 @@ def test_node_table_follows_its_definition(graph):
         n = max(2, math.ceil(length / h - 1e-12))
         x = mesh.node_x[run]
         assert np.array_equal(x, np.linspace(0.0, length, n + 1))
-        assert np.all(mesh.node_edge[run] == i) and mesh.edge_index(e.id) == i
+        assert np.all(mesh.node_edge[run] == i)
         assert mesh.edge_halfline[i] == e.is_halfline
         dofs = mesh.node_dof[run]
         assert dofs[0] == vertex_dof[e.src]
@@ -233,9 +234,8 @@ def test_node_table_follows_its_definition(graph):
     # follow the vertex dofs in that order
     assert sum(mesh.node_x[mesh.edge_nodes(e.id)].size for e in graph.edges) == mesh.node_x.size
     assert np.array_equal(np.concatenate(interior), np.arange(len(graph.vertices), mesh.ndof))
-    for lookup in (mesh.edge_nodes, mesh.edge_index):
-        with pytest.raises(MeshError, match="unknown edge"):
-            lookup("nope")
+    with pytest.raises(MeshError, match="unknown edge"):
+        mesh.edge_nodes("nope")
 
 
 # Per-edge reference loops for the reads that go through the node and

@@ -3,8 +3,9 @@ sits at module level, importing the package loads only the sparse parts of
 scipy, one function forms the Euler-Lagrange residual, sparse matrices
 are assembled, LAPACK called and the node table read only in ``mesh``, no
 module reads a per-edge mesh record (``edge_meshes``, ``edge_mesh``), only
-the twin loops of ``solve`` read ``first_twins``, and numeric types are
-tested only in ``graphs``."""
+the twin loops of ``solve`` read ``first_twins``, numeric types are
+tested only in ``graphs``, and every private function, method and class is
+read."""
 
 import ast
 import importlib
@@ -287,6 +288,49 @@ def test_only_graphs_tests_numeric_types():
     # so a bool is refused as a number or a count by one rule
     uses = {p.stem: numeric_type_tests(p.read_text()) for p in ALL_MODULES if p.name != "graphs.py"}
     assert {stem: found for stem, found in uses.items() if found} == {}
+
+
+def unread_private_defs(sources: list[str]) -> list[str]:
+    """``name (line n)`` for every function, method or class in ``sources``
+    named with a leading underscore (dunders excepted) that no name or
+    attribute in ``sources`` reads outside a definition of that name."""
+    defs, reads = [], set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                defs.append(f"{name} (line {node.lineno})")
+            enclosing = enclosing | {name}
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name not in enclosing:
+                reads.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return sorted(d for d in defs if d.split()[0] not in reads)
+
+
+def test_checker_flags_an_unread_private_def():
+    src = (
+        "class _Used:\n    def _method(self):\n        return self._other()\n\n"
+        "    def _other(self):\n        return 1\n\n    def __repr__(self):\n        return ''\n\n"
+        "    def _unread(self):\n        return self._unread()\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _Used()._method()\n\n"
+        "def public():\n    return _helper\n"
+    )
+    other = "def _helper():\n    return 0\n\nclass _Gone:\n    pass\n"
+    assert unread_private_defs([src, other]) == [
+        "_Gone (line 4)", "_recursive (line 14)", "_unread (line 11)",
+    ]
+
+
+def test_every_private_def_is_read():
+    # a helper whose last caller goes is deleted with it
+    assert unread_private_defs([p.read_text() for p in ALL_MODULES]) == []
 
 
 def test_import_loads_no_scipy_quadrature_optimize_or_special():
