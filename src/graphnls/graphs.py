@@ -67,7 +67,7 @@ class MetricGraph:
     """A connected noncompact metric graph.
 
     ``flagged_vertices`` lists degree-two vertices that ``normalize`` could
-    not eliminate (pure cycles, or the junction of two halflines).
+    not eliminate: the junction of two halflines.
     """
 
     vertices: tuple[str, ...]
@@ -157,9 +157,6 @@ def _validate(g: MetricGraph) -> None:
                     stack.append(w)
         if comp != set(g.vertices):
             raise GraphError("disconnected graph")
-        isolated = [v for v in g.vertices if g.degree(v) == 0]
-        if isolated:
-            raise GraphError(f"disconnected graph: isolated vertices {isolated}")
 
 
 def load_graph(doc: Union[str, Path, Mapping]) -> MetricGraph:
@@ -194,6 +191,8 @@ def load_graph(doc: Union[str, Path, Mapping]) -> MetricGraph:
             halfline = item.get("halfline", False)
             if not isinstance(halfline, bool):
                 raise TypeError(f"halfline {halfline!r} is not a boolean")
+            if halfline and "to" in item:
+                raise ValueError("a halfline has no 'to' end")
             if not halfline:
                 length = item["length"]
                 if isinstance(length, bool):
@@ -213,9 +212,11 @@ def normalize(g: MetricGraph) -> MetricGraph:
     """Eliminate degree-two vertices by merging their two incident edges.
 
     Chains of bounded edges merge into a single bounded edge with summed
-    length; a bounded edge followed by a halfline merges into a halfline.
-    Vertices that cannot be eliminated (a self-loop forming a pure cycle,
-    or the junction of two halflines) are retained and flagged.
+    length (a self-loop, when the two edges are parallel); a bounded edge
+    followed by a halfline merges into a halfline.  The junction of two
+    halflines cannot be eliminated: it is retained and flagged.  No merge
+    leaves a vertex whose only edge is a self-loop: in a connected graph
+    with a halfline, that vertex would be a component of its own.
     """
     edges = list(g.edges)
     vertices = list(g.vertices)
@@ -228,10 +229,6 @@ def normalize(g: MetricGraph) -> MetricGraph:
             incident = [e for e in edges if e.src == v or e.dst == v]
             deg = sum((e.src == v) + (e.dst == v) for e in incident)
             if deg != 2 or v in flagged:
-                continue
-            if len(incident) == 1:
-                # single self-loop: pure cycle, cannot be eliminated
-                flagged.add(v)
                 continue
             a, b = incident
             if a.is_halfline and b.is_halfline:
@@ -264,12 +261,11 @@ def normalize(g: MetricGraph) -> MetricGraph:
 
 
 # ---------------------------------------------------------------------------
-# Built-in fixtures.  Edge lengths are fixture choices: all bounded edges
-# default to length 1 except example 4, whose defaults (terminal edges 2,
-# middle edge 4) match its standard usage in the test suite.
+# Built-in fixtures.  The examples' edge lengths are fixed: every bounded
+# edge has length 1 except in example 4 (terminal edges 2, middle edge 4).
 
 
-def line_graph(length: float = 10.0, name: str = "line") -> MetricGraph:
+def line_graph(length: float = 10.0) -> MetricGraph:
     """One bounded edge with a halfline attached at each end (a model of R)."""
     return MetricGraph(
         vertices=("v1", "v2"),
@@ -278,7 +274,7 @@ def line_graph(length: float = 10.0, name: str = "line") -> MetricGraph:
             Edge("h1", "v1"),
             Edge("h2", "v2"),
         ),
-        name=name,
+        name="line",
     )
 
 
@@ -287,18 +283,18 @@ def halfline_graph(name: str = "halfline") -> MetricGraph:
     return MetricGraph(vertices=("v1",), edges=(Edge("h1", "v1"),), name=name)
 
 
-def star_graph(n: int = 3, name: str = "star") -> MetricGraph:
+def star_graph(n: int = 3) -> MetricGraph:
     """n halflines joined at a single vertex."""
     if not is_count(n, 1):
         raise GraphError(f"star size {n!r} is not an integer >= 1")
     return MetricGraph(
         vertices=("v1",),
         edges=tuple(Edge(f"h{i+1}", "v1") for i in range(n)),
-        name=name,
+        name="star",
     )
 
 
-def double_bridge_graph(length: float = 0.3, name: str = "double-bridge") -> MetricGraph:
+def double_bridge_graph(length: float = 0.3) -> MetricGraph:
     """A bounded edge whose endpoints each carry two halflines.
 
     Both endpoints have degree 3, so the bounded edge survives normalization;
@@ -313,36 +309,11 @@ def double_bridge_graph(length: float = 0.3, name: str = "double-bridge") -> Met
             Edge("h3", "v2"),
             Edge("h4", "v2"),
         ),
-        name=name,
+        name="double-bridge",
     )
 
 
-def _example1_edges(length: float) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
-    vertices = ("v1", "v3", "v4", "v6", "v7", "v8", "v9")
-    edges = (
-        Edge("e1", "v1", "v3", length),
-        Edge("e2", "v1", "v4", length),
-        Edge("e3", "v3", "v4", length),
-        Edge("e4", "v3", "v3", length),  # self-loop
-        Edge("e5", "v3", "v6", length),
-        Edge("e6", "v6", "v7", length),
-        Edge("e7", "v6", "v7", length),
-        Edge("e8", "v6", "v7", length),
-        Edge("e9", "v6", "v8", length),
-        Edge("e10", "v6", "v8", length),
-        Edge("e11", "v7", "v8", length),
-        Edge("e12", "v8", "v9", length),
-        Edge("e13", "v7", "v9", length),
-        Edge("h1", "v1"),
-        Edge("h2", "v4"),
-        Edge("h3", "v7"),
-        Edge("h4", "v7"),
-        Edge("h5", "v9"),
-    )
-    return vertices, edges
-
-
-def example_graph(n: int, **lengths) -> MetricGraph:
+def example_graph(n: int) -> MetricGraph:
     """Built-in example graphs 1-4.
 
     1: 13 bounded edges (with a self-loop, triple and double edges), 5
@@ -353,44 +324,54 @@ def example_graph(n: int, **lengths) -> MetricGraph:
     4: halfline - terminal edge ``e`` / middle edge ``f`` / terminal edge
        ``g`` - halfline.
     """
-    if not is_count(n, 1):
+    if not (is_count(n, 1) and n <= 4):
         raise GraphError(f"no built-in example {n!r}; choose 1-4")
-    if n == 1:
-        ell = lengths.get("length", 1.0)
-        vertices, edges = _example1_edges(ell)
-        return MetricGraph(vertices=vertices, edges=edges, name="example1")
-    if n == 2:
-        ell = lengths.get("length", 1.0)
-        vertices, edges = _example1_edges(ell)
-        vertices = vertices + ("v13",)
-        edges = edges + (Edge("f", "v4", "v13", lengths.get("terminal_length", 1.0)),)
-        return MetricGraph(vertices=vertices, edges=edges, name="example2")
+    if n <= 2:
+        vertices = ("v1", "v3", "v4", "v6", "v7", "v8", "v9")
+        edges = (
+            Edge("e1", "v1", "v3", 1.0),
+            Edge("e2", "v1", "v4", 1.0),
+            Edge("e3", "v3", "v4", 1.0),
+            Edge("e4", "v3", "v3", 1.0),  # self-loop
+            Edge("e5", "v3", "v6", 1.0),
+            Edge("e6", "v6", "v7", 1.0),
+            Edge("e7", "v6", "v7", 1.0),
+            Edge("e8", "v6", "v7", 1.0),
+            Edge("e9", "v6", "v8", 1.0),
+            Edge("e10", "v6", "v8", 1.0),
+            Edge("e11", "v7", "v8", 1.0),
+            Edge("e12", "v8", "v9", 1.0),
+            Edge("e13", "v7", "v9", 1.0),
+            Edge("h1", "v1"),
+            Edge("h2", "v4"),
+            Edge("h3", "v7"),
+            Edge("h4", "v7"),
+            Edge("h5", "v9"),
+        )
+        if n == 2:
+            vertices += ("v13",)
+            edges += (Edge("f", "v4", "v13", 1.0),)
+        return MetricGraph(vertices=vertices, edges=edges, name=f"example{n}")
     if n == 3:
-        loop = lengths.get("loop_length", 1.0)
-        arm = lengths.get("arm_length", 1.0)
         return MetricGraph(
             vertices=("v1", "v2"),
             edges=(
-                Edge("e", "v2", "v2", loop),
-                Edge("f", "v1", "v2", arm),
-                Edge("g", "v1", "v2", arm),
+                Edge("e", "v2", "v2", 1.0),
+                Edge("f", "v1", "v2", 1.0),
+                Edge("g", "v1", "v2", 1.0),
                 Edge("h1", "v1"),
                 Edge("h2", "v1"),
             ),
             name="example3",
         )
-    if n == 4:
-        t = lengths.get("terminal_length", 2.0)
-        mid = lengths.get("middle_length", 4.0)
-        return MetricGraph(
-            vertices=("v1", "v2", "v3", "v4"),
-            edges=(
-                Edge("e", "v1", "v3", t),
-                Edge("f", "v1", "v2", mid),
-                Edge("g", "v2", "v4", t),
-                Edge("h1", "v1"),
-                Edge("h2", "v2"),
-            ),
-            name="example4",
-        )
-    raise GraphError(f"no built-in example {n}; choose 1-4")
+    return MetricGraph(
+        vertices=("v1", "v2", "v3", "v4"),
+        edges=(
+            Edge("e", "v1", "v3", 2.0),
+            Edge("f", "v1", "v2", 4.0),
+            Edge("g", "v2", "v4", 2.0),
+            Edge("h1", "v1"),
+            Edge("h2", "v2"),
+        ),
+        name="example4",
+    )

@@ -67,8 +67,9 @@ class Mesh:
     el_mid: np.ndarray = field(init=False, repr=False)
     # per edge index: whether the edge is a (truncated) halfline
     edge_halfline: np.ndarray = field(init=False, repr=False)
-    vertex_dofs: np.ndarray = field(init=False, repr=False)      # 0 ... nv - 1
-    interior_mask: np.ndarray = field(init=False, repr=False)    # not a vertex dof
+    # the number of vertex dofs: the vertices are dofs 0 ... nv - 1, the
+    # edges' interior nodes the rest
+    nv: int = field(init=False)
     # the sparsity pattern of the P1 stencil, shared (read-only) by every
     # matrix on it: its column indices and row pointers, the data slot of
     # every entry of the element blocks that ``element_matrix`` stacks (nnz
@@ -104,9 +105,7 @@ class Mesh:
         self.edge_halfline = np.array([e.is_halfline for e in edges])
         bounds = np.searchsorted(self.node_edge, np.arange(len(edges) + 1)).tolist()
         self._edge_nodes = {e.id: slice(a, b) for e, a, b in zip(edges, bounds, bounds[1:])}
-        self.vertex_dofs = np.arange(len(self.graph.vertices))
-        self.interior_mask = np.ones(self.ndof, dtype=bool)
-        self.interior_mask[self.vertex_dofs] = False
+        self.nv = len(self.graph.vertices)
         self._assemble()
 
     def edge_nodes(self, edge_id: str) -> slice:
@@ -177,7 +176,7 @@ class Mesh:
         ``data`` and B.  The chain cannot pivot across a vertex, so this
         raises LinAlgError when the chain or the Schur complement is exactly
         singular, whether or not the whole matrix is."""
-        nv = self.vertex_dofs.size
+        nv = self.nv
         B = np.zeros((self.ndof, 0)) if border is None else border
         dtype = np.result_type(data, B)
         getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
@@ -244,7 +243,7 @@ class Mesh:
         self.element_slots[keep] = slots
         row, col = np.divmod(entries, n)
         self.diagonal_slots = np.flatnonzero(row == col)
-        nv = self.vertex_dofs.size
+        nv = self.nv
         chain = (row == col + 1) & (col >= nv)
         coupling = (row >= nv) & (col < nv)
         vertex = (row < nv) & (col < nv)
@@ -287,19 +286,19 @@ def truncation_length(
 ) -> float:
     """The halfline truncation length ``build_mesh`` uses: ``trunc`` itself,
     or for "auto" max(20, 8/sqrt(lambda_est)) so that exp(-sqrt(lambda) x)
-    tails are negligible at the far end; ``lambda_est`` None stands for
-    0.16.  Makes every check of ``build_mesh``, before it allocates: h
+    tails are negligible at the far end, and 20 itself when ``lambda_est``
+    is None.  Makes every check of ``build_mesh``, before it allocates: h
     below half the shortest bounded edge, and at most ``MAX_MESH_ELEMENTS``
     elements in the whole mesh of g (its bounded lengths plus each
     truncated halfline, over h), a refusal that names the longest edge."""
     if not is_number(h, 0.0):
         raise MeshError(f"mesh spacing h={h!r} is not positive and finite")
-    if lambda_est is None:
-        lambda_est = 0.16
-    elif not is_number(lambda_est, 0.0):
+    if not (lambda_est is None or is_number(lambda_est, 0.0)):
         raise MeshError(f"multiplier estimate {lambda_est!r} is not positive and finite")
     if trunc == "auto":
-        L = max(DEFAULT_TRUNCATION, 8.0 / math.sqrt(lambda_est))
+        L = DEFAULT_TRUNCATION
+        if lambda_est is not None:
+            L = max(L, 8.0 / math.sqrt(lambda_est))
     elif not is_number(trunc, 0.0):
         raise MeshError(f"truncation length {trunc!r} is not positive and finite")
     else:

@@ -76,7 +76,7 @@ class SolveReport:
     energy: fn.EnergyBreakdown
     lam: float                   # Lagrange multiplier (1/length^2)
     mass: float
-    mass_loss: float             # mass beyond the halfline migration monitor
+    mass_loss: float             # mass on halfline elements past half the truncation length
     localization_margin: float
     el_residual: float
     kirchhoff_residual: float
@@ -636,12 +636,23 @@ def minimize_on_edge(
     on the edge, or a hat on the edge when the competitor does not fit
     (mass below the fitting threshold).  The descent runs to its end
     wherever the maximum wanders; a final state that peaks off the edge is
-    reported ``escaped``.
+    reported ``escaped``.  A given ``mesh`` must be the one that
+    ``_resolve_mesh`` would build: the graph g (by value), spacing
+    ``cfg.h`` and the truncation length of ``cfg.truncation`` at mass mu;
+    any other raises ``SolveError``.
     """
     e = _bounded_edge(g, edge_id)
     model = make_model(p)
     if mesh is None:
         mesh = _resolve_mesh(g, cfg, model, mu)
+    else:
+        L = truncation_length(g, cfg.h, cfg.truncation, model.lambda_for_mass(mu))
+        if (mesh.graph, mesh.h, mesh.truncation) != (g, cfg.h, L):
+            raise SolveError(
+                f"the mesh (graph {mesh.graph.name!r}, h {mesh.h:g}, truncation "
+                f"{mesh.truncation:g}) is not the one of graph {g.name!r} at h {cfg.h:g}, "
+                f"truncation {L:g}"
+            )
     pass_through = [v for v in dict.fromkeys((e.src, e.dst)) if g.degree(v) == 2]
     if pass_through:
         logger.warning(

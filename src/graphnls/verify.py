@@ -44,8 +44,8 @@ def strong_norm(mesh: Mesh, r: np.ndarray, rows=slice(None)) -> float:
 
 def row_norms(mesh: Mesh, r: np.ndarray) -> tuple[float, float]:
     """(``el_residual``, ``kirchhoff_residual``) of the residual rows r."""
-    vertex = float(np.max(np.abs(r[mesh.vertex_dofs]), initial=0.0))
-    return strong_norm(mesh, r, mesh.interior_mask), vertex
+    vertex = float(np.max(np.abs(r[:mesh.nv]), initial=0.0))
+    return strong_norm(mesh, r, slice(mesh.nv, None)), vertex
 
 
 def residual_norms(u: GraphFunction, lam: float, p: float) -> tuple[float, float]:
@@ -86,7 +86,7 @@ def kirchhoff_residual(
     w = np.zeros(v.size)
     for end, step in ((first, 1), (last, -1)):
         w[end] = (-3.0 * v[end] + 4.0 * v[end + step] - v[end + 2 * step]) / (2.0 * mesh.edge_h)
-    return float(np.max(np.abs(mesh.node_sum(w)[mesh.vertex_dofs]), initial=0.0))
+    return float(np.max(np.abs(mesh.node_sum(w)[:mesh.nv]), initial=0.0))
 
 
 def localization_margin(u: GraphFunction, edge_id: str) -> float:

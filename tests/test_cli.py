@@ -267,10 +267,12 @@ def test_overflowing_edge_length_is_graph_error(capsys):
         '{"vertices": ["a"], "edges": [{"id": "h", "from": "a", "halfline": 1}]}',
         '{"vertices": ["a"], "edges": [{"id": "e", "from": "a", "to": "a", "length": "1.5"},'
         ' {"id": "h", "from": "a", "halfline": true}]}',
+        '{"vertices": ["a", "b"], "edges": [{"id": "e", "from": "a", "to": "b", "length": 1.0},'
+        ' {"id": "h", "from": "a", "to": "b", "halfline": true}]}',
     ],
     ids=[
         "boolean-length", "halfline-length", "repeated-vertex",
-        "string-halfline-flag", "integer-halfline-flag", "string-length",
+        "string-halfline-flag", "integer-halfline-flag", "string-length", "halfline-to",
     ],
 )
 def test_validate_rejects_malformed_documents_with_one_line(doc, capsys):

@@ -105,6 +105,7 @@ _BAD_EDGES = {
     "length not a number": [{"id": "e", "from": "a", "to": "a", "length": "abc"}, _HALFLINE],
     "length null": [{"id": "e", "from": "a", "to": "a", "length": None}, _HALFLINE],
     "integer length beyond float": [{"id": "e", "from": "a", "to": "a", "length": 10**400}, _HALFLINE],
+    "halfline with a to end": [{**_HALFLINE, "to": "a"}],
 }
 
 
@@ -212,6 +213,28 @@ def test_normalize_flags_two_halfline_junction():
     assert len(gn.halflines) == 2
 
 
+def test_metric_graph_refuses_a_vertex_whose_only_edge_is_a_self_loop():
+    # alone, it has no halfline; beside a valid component, it is disconnected
+    loop = Edge("l", "b", "b", 1.0)
+    with pytest.raises(GraphError, match="at least one halfline"):
+        MetricGraph(vertices=("b",), edges=(loop,))
+    with pytest.raises(GraphError, match="disconnected graph"):
+        MetricGraph(vertices=("a", "b"), edges=(Edge("h", "a"), loop))
+
+
+def test_normalize_turns_two_parallel_edges_into_an_unflagged_self_loop():
+    # b joins the parallel edges e1 and e2: merging them leaves the loop at
+    # a, whose halfline keeps its degree at 3
+    g = MetricGraph(
+        vertices=("a", "b"),
+        edges=(Edge("e1", "a", "b", 1.0), Edge("e2", "a", "b", 2.0), Edge("h", "a")),
+    )
+    gn = normalize(g)
+    assert gn.vertices == ("a",)
+    assert gn.edges == (Edge("e1+e2", "a", "a", 3.0), Edge("h", "a"))
+    assert gn.flagged_vertices == ()
+
+
 def test_fixture_shapes():
     assert len(line_graph(10.0).halflines) == 2
     assert len(halfline_graph().halflines) == 1
@@ -226,6 +249,12 @@ def test_fixture_shapes():
     g4 = example_graph(4)
     assert sorted(e.id for e in g4.bounded_edges) == ["e", "f", "g"]
     assert g4.edge("f").length == pytest.approx(4.0)
+
+
+def test_example_graph_takes_no_length_keywords():
+    # its edge lengths are fixed: a keyword is refused, not silently ignored
+    with pytest.raises(TypeError):
+        example_graph(3, loop=5.0)
 
 
 def test_example_graph_bad_index():

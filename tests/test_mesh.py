@@ -179,13 +179,13 @@ def test_argmax_matches_per_edge_scan(graph):
     states.append(np.ones(mesh.ndof))
     states.append(-np.ones(mesh.ndof))
     vertex_only = np.zeros(mesh.ndof)
-    vertex_only[mesh.vertex_dofs] = 2.0  # ties at the shared vertex dofs
+    vertex_only[:mesh.nv] = 2.0  # ties at the shared vertex dofs
     states.append(vertex_only)
     states.append(rng.standard_normal(mesh.ndof) + 1j * rng.standard_normal(mesh.ndof))
     states.extend(rng.standard_normal(mesh.ndof) for _ in range(20))
     first_interior = mesh.node_dof[mesh.edge_nodes(graph.edges[0].id)][1]
     last_interior = mesh.node_dof[mesh.edge_nodes(graph.edges[-1].id)][1]
-    for vd in mesh.vertex_dofs:
+    for vd in range(mesh.nv):
         alone = rng.uniform(-1.0, 1.0, mesh.ndof)
         alone[vd] = -3.0  # a vertex dof shared by several edges, alone at the top
         states.append(alone)

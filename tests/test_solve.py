@@ -383,6 +383,25 @@ def test_minimize_on_edge_rejects_halfline():
         minimize_on_edge(star_graph(3), "h1", 1.0, 4.0, CFG)
 
 
+@pytest.mark.parametrize(
+    "graph, h, trunc",
+    [
+        (double_bridge_graph(1.0), 0.05, 5.0),   # coarser and shorter than the config's
+        (double_bridge_graph(1.0), 0.01, 5.0),   # the truncation alone differs
+        (line_graph(1.0), 0.01, 10.0),           # another graph at the config's h and truncation
+    ],
+    ids=["coarse-short", "short", "other-graph"],
+)
+def test_minimize_on_edge_refuses_a_mesh_that_does_not_match_the_solve(graph, h, trunc):
+    # a given mesh must be the one the solve would build; the report would
+    # otherwise carry a config, or a graph, that the minimizer is not on
+    mesh = build_mesh(graph, h, trunc=trunc)
+    with pytest.raises(SolveError, match="is not the one of graph 'double-bridge'"):
+        minimize_on_edge(
+            double_bridge_graph(1.0), "e", 8.0, 4.0, SolveConfig(h=0.01, truncation=10.0), mesh=mesh
+        )
+
+
 def test_solve_report_serializes():
     rep = minimize_on_edge(double_bridge_graph(1.0), "e", 8.0, 4.0, CFG)
     doc = rep.to_dict()
@@ -546,7 +565,7 @@ def test_bordered_solve_falls_back_to_superlu_when_the_chain_is_singular(pivot, 
     mesh = build_mesh(double_bridge_graph(0.3), h=0.05, trunc=3.0)
     M, K = mesh.mass_matrix, mesh.stiffness_matrix
     data = K.data + M.data
-    first = mesh.vertex_dofs.size
+    first = mesh.nv
     data[_stencil_slot(mesh, first, first)] = pivot
     data[[_stencil_slot(mesh, first, first + 1), _stencil_slot(mesh, first + 1, first)]] = 0.0
     B = (M @ np.ones(mesh.ndof))[:, None]
@@ -570,7 +589,7 @@ def test_bordered_solve_refines_a_weak_chain_pivot(pivot, solves, monkeypatch):
     mesh = build_mesh(double_bridge_graph(0.3), h=0.05, trunc=3.0)
     M, K = mesh.mass_matrix, mesh.stiffness_matrix
     data = K.data + M.data
-    first = mesh.vertex_dofs.size
+    first = mesh.nv
     data[_stencil_slot(mesh, first, first)] = pivot
     data[[_stencil_slot(mesh, first, first + 1), _stencil_slot(mesh, first + 1, first)]] = 0.0
     B = (M @ np.ones(mesh.ndof))[:, None]
